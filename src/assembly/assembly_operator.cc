@@ -56,7 +56,8 @@ Status AssemblyOperator::Open() {
   in_flight_.clear();
   shared_map_.clear();
   ready_.clear();
-  window_page_use_.clear();
+  page_charges_.clear();
+  window_pages_ = 0;
   next_complex_id_ = 1;
   input_exhausted_ = false;
   stats_ = AssemblyStats();
@@ -69,17 +70,16 @@ Status AssemblyOperator::Close() {
   in_flight_.clear();
   shared_map_.clear();
   ready_.clear();
-  window_page_use_.clear();
+  page_charges_.clear();
+  window_pages_ = 0;
   scheduler_.reset();
   // arena_ intentionally survives: emitted rows point into it.
   return input_->Close();
 }
 
 void AssemblyOperator::ChargePage(InFlight* fl, PageId page) {
-  if (fl->pages.insert(page).second) {
-    window_page_use_[page]++;
-    NoteWindowPages();
-  }
+  fl->pages.push_back(page);
+  AddCharge(page);
 }
 
 void AssemblyOperator::ChargeSharedPage(PageId page) {
@@ -87,13 +87,13 @@ void AssemblyOperator::ChargeSharedPage(PageId page) {
   // shared component remains in memory as long as there is at least one
   // valid reference to it", §5), so their pages are charged once and
   // released only at Close.
-  window_page_use_[page]++;
-  NoteWindowPages();
+  AddCharge(page);
 }
 
-void AssemblyOperator::NoteWindowPages() {
-  stats_.max_window_pages =
-      std::max(stats_.max_window_pages, window_page_use_.size());
+void AssemblyOperator::AddCharge(PageId page) {
+  if (page >= page_charges_.size()) page_charges_.resize(page + 1);
+  if (page_charges_[page]++ == 0) window_pages_++;
+  stats_.max_window_pages = std::max(stats_.max_window_pages, window_pages_);
 }
 
 void AssemblyOperator::Notify(AssemblyEvent::Kind kind, uint64_t complex_id,
@@ -111,22 +111,19 @@ void AssemblyOperator::Notify(AssemblyEvent::Kind kind, uint64_t complex_id,
   observer_->OnEvent(event);
 }
 
-void AssemblyOperator::ReleasePages(const std::unordered_set<PageId>& pages) {
-  for (PageId page : pages) {
-    auto it = window_page_use_.find(page);
-    if (it != window_page_use_.end() && --it->second == 0) {
-      window_page_use_.erase(it);
-    }
-  }
+std::vector<PageId> AssemblyOperator::TakePageList() {
+  if (spare_page_lists_.empty()) return {};
+  std::vector<PageId> pages = std::move(spare_page_lists_.back());
+  spare_page_lists_.pop_back();
+  return pages;
 }
 
-void AssemblyOperator::ReleasePages(const std::vector<PageId>& pages) {
-  for (PageId page : pages) {
-    auto it = window_page_use_.find(page);
-    if (it != window_page_use_.end() && --it->second == 0) {
-      window_page_use_.erase(it);
-    }
+void AssemblyOperator::ReleasePages(std::vector<PageId>* pages) {
+  for (PageId page : *pages) {
+    if (--page_charges_[page] == 0) window_pages_--;
   }
+  pages->clear();
+  spare_page_lists_.push_back(std::move(*pages));
 }
 
 Status AssemblyOperator::AdmitOne() {
@@ -151,6 +148,7 @@ Status AssemblyOperator::AdmitOne() {
   uint64_t id = next_complex_id_++;
   InFlight fl;
   fl.id = id;
+  fl.pages = TakePageList();
   if (prebuilt_column_ >= 0) {
     size_t col = static_cast<size_t>(prebuilt_column_);
     if (col >= row.size() ||
@@ -184,9 +182,11 @@ Status AssemblyOperator::AdmitOne() {
   root_ref.parent = nullptr;
   root_ref.oid = root_oid;
   root_ref.page = location.page;
+  root_ref.slot = location.slot;
   root_ref.depth = 0;
   in_flight_.emplace(id, std::move(fl));
-  scheduler_->AddBatch({root_ref}, /*is_root=*/true);
+  batch_.assign(1, root_ref);
+  scheduler_->AddBatch(batch_, /*is_root=*/true);
   stats_.max_pool_size = std::max(stats_.max_pool_size, scheduler_->Size());
   stats_.complex_admitted++;
   Notify(AssemblyEvent::Kind::kAdmit, id, root_oid);
@@ -211,7 +211,7 @@ void AssemblyOperator::AbortComplex(uint64_t id) {
   auto it = in_flight_.find(id);
   if (it == in_flight_.end()) return;  // already emitted or aborted
   scheduler_->RemoveComplex(id);
-  ReleasePages(it->second.pages);
+  ReleasePages(&it->second.pages);
   Oid root_oid = it->second.root != nullptr ? it->second.root->oid
                                             : kInvalidOid;
   in_flight_.erase(it);
@@ -223,7 +223,7 @@ void AssemblyOperator::DropComplex(uint64_t id) {
   auto it = in_flight_.find(id);
   if (it == in_flight_.end()) return;  // already emitted or aborted
   scheduler_->RemoveComplex(id);
-  ReleasePages(it->second.pages);
+  ReleasePages(&it->second.pages);
   // The root may not have been fetched yet; the input row still carries the
   // root OID, so drop events always identify the dropped object.
   Oid root_oid = kInvalidOid;
@@ -245,7 +245,7 @@ void AssemblyOperator::MaybeFinishComplex(uint64_t id) {
   ReadyRow ready;
   ready.row = std::move(fl.input_row);
   ready.row[root_column_] = exec::Value::Obj(fl.root);
-  ready.pages.assign(fl.pages.begin(), fl.pages.end());
+  ready.pages = std::move(fl.pages);
   Oid root_oid = fl.root != nullptr ? fl.root->oid : kInvalidOid;
   ready_.push_back(std::move(ready));
   in_flight_.erase(it);
@@ -316,7 +316,11 @@ void AssemblyOperator::FinishSharedRef(const PendingRef& ref) {
 
 Result<AssembledObject*> AssemblyOperator::FetchAndExpand(
     const PendingRef& ref) {
-  COBRA_ASSIGN_OR_RETURN(ObjectData data, store_->Get(ref.oid));
+  // The reference carries the location the directory returned when it was
+  // discovered, so the fetch reads the record without a second lookup.
+  ObjectData& data = record_;
+  COBRA_RETURN_IF_ERROR(
+      store_->ReadAt(ref.oid, RecordId{ref.page, ref.slot}, &data));
   COBRA_RETURN_IF_ERROR(components_.CheckObject(data, ref.node));
   stats_.objects_fetched++;
   Notify(AssemblyEvent::Kind::kFetch,
@@ -353,13 +357,12 @@ Result<AssembledObject*> AssemblyOperator::FetchAndExpand(
 
   // Recursive templates truncate below max_depth; acyclic ones never do.
   bool expand = !template_recursive_ || ref.depth + 1 < template_->max_depth();
-  std::vector<PendingRef> batch;
+  std::vector<PendingRef>& batch = batch_;
+  batch.clear();
   if (expand) {
-    COBRA_ASSIGN_OR_RETURN(
-        std::vector<ComponentRef> children,
-        components_.Expand(data, ref.node, options_.prioritize_predicates));
-    batch.reserve(children.size());
-    for (const ComponentRef& child : children) {
+    COBRA_RETURN_IF_ERROR(components_.ExpandInto(
+        data, ref.node, options_.prioritize_predicates, &expanded_));
+    for (const ComponentRef& child : expanded_) {
       COBRA_ASSIGN_OR_RETURN(RecordId location, store_->Locate(child.oid));
       PendingRef child_ref;
       child_ref.complex_id = ref.complex_id;
@@ -369,6 +372,7 @@ Result<AssembledObject*> AssemblyOperator::FetchAndExpand(
       child_ref.ref_slot = child.ref_slot;
       child_ref.oid = child.oid;
       child_ref.page = location.page;
+      child_ref.slot = location.slot;
       child_ref.depth = ref.depth + 1;
       child_ref.shared_owner = this_shared ? ref.oid : ref.shared_owner;
       child_ref.shared_owned = child_ref.shared_owner != kInvalidOid;
@@ -623,7 +627,7 @@ Result<size_t> AssemblyOperator::NextBatch(exec::RowBatch* out) {
     while (!ready_.empty() && !out->full()) {
       ReadyRow ready = std::move(ready_.front());
       ready_.pop_front();
-      ReleasePages(ready.pages);
+      ReleasePages(&ready.pages);
       out->PushRow(std::move(ready.row));
     }
     if (out->full()) return out->size();

@@ -29,7 +29,6 @@
 #include <memory>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "assembly/component_iterator.h"
@@ -178,8 +177,10 @@ class AssemblyOperator : public exec::Iterator {
     size_t unresolved = 0;
     // Incomplete shared components this complex object is waiting on.
     size_t shared_pending = 0;
-    // Distinct pages fetched for this complex object (buffer accounting).
-    std::unordered_set<PageId> pages;
+    // The page of every component fetched for this complex object, one
+    // entry per fetch (buffer accounting: each entry is one charge in
+    // page_charges_).  Storage comes from and returns to spare_page_lists_.
+    std::vector<PageId> pages;
   };
 
   // Resident shared component (template node marked shared).
@@ -243,9 +244,11 @@ class AssemblyOperator : public exec::Iterator {
   // Page accounting.
   void ChargePage(InFlight* fl, PageId page);
   void ChargeSharedPage(PageId page);
-  void ReleasePages(const std::unordered_set<PageId>& pages);
-  void ReleasePages(const std::vector<PageId>& pages);
-  void NoteWindowPages();
+  void AddCharge(PageId page);
+  // An empty page list, reusing the storage of a released one.
+  std::vector<PageId> TakePageList();
+  // Releases every charge in `pages` and keeps its storage for reuse.
+  void ReleasePages(std::vector<PageId>* pages);
   void Notify(AssemblyEvent::Kind kind, uint64_t complex_id, Oid oid,
               PageId page = kInvalidPageId,
               const TemplateNode* node = nullptr);
@@ -266,7 +269,19 @@ class AssemblyOperator : public exec::Iterator {
   std::unordered_map<uint64_t, InFlight> in_flight_;
   std::unordered_map<Oid, SharedEntry> shared_map_;
   std::deque<ReadyRow> ready_;
-  std::unordered_map<PageId, int> window_page_use_;
+  // The pages backing the window (§6.3.3): the charges each page holds
+  // from in-flight and ready complex objects and resident shared
+  // components, indexed by PageId (pages come from dense extents starting
+  // at 0) and grown to the highest page charged, and the number of pages
+  // holding at least one charge.
+  std::vector<uint32_t> page_charges_;
+  size_t window_pages_ = 0;
+  std::vector<std::vector<PageId>> spare_page_lists_;
+  // Per-reference scratch, reused by every fetch: the decoded record, its
+  // expansion and the child batch handed to the scheduler.
+  ObjectData record_;
+  std::vector<ComponentRef> expanded_;
+  std::vector<PendingRef> batch_;
   uint64_t next_complex_id_ = 1;
   bool input_exhausted_ = false;
   bool template_recursive_ = false;

@@ -28,24 +28,36 @@ Status ComponentIterator::CheckObject(const ObjectData& obj,
 Result<std::vector<ComponentRef>> ComponentIterator::Expand(
     const ObjectData& obj, const TemplateNode* node,
     bool prioritize_predicates) const {
-  COBRA_RETURN_IF_ERROR(CheckObject(obj, node));
   std::vector<ComponentRef> refs;
-  refs.reserve(node->children.size());
+  COBRA_RETURN_IF_ERROR(ExpandInto(obj, node, prioritize_predicates, &refs));
+  return refs;
+}
+
+Status ComponentIterator::ExpandInto(const ObjectData& obj,
+                                     const TemplateNode* node,
+                                     bool prioritize_predicates,
+                                     std::vector<ComponentRef>* out) const {
+  COBRA_RETURN_IF_ERROR(CheckObject(obj, node));
+  out->clear();
   for (size_t i = 0; i < node->children.size(); ++i) {
     const auto& edge = node->children[i];
     Oid child_oid = obj.refs[edge.ref_slot];
     if (child_oid == kInvalidOid) continue;
-    refs.push_back(ComponentRef{edge.child, child_oid, edge.ref_slot,
+    out->push_back(ComponentRef{edge.child, child_oid, edge.ref_slot,
                                 static_cast<int>(i)});
   }
   if (prioritize_predicates) {
-    std::stable_sort(refs.begin(), refs.end(),
-                     [](const ComponentRef& a, const ComponentRef& b) {
-                       return a.node->rejection_probability() >
-                              b.node->rejection_probability();
-                     });
+    // A stable sort by rejection probability is an unstable sort that breaks
+    // ties by template order, which child_index already is; std::sort needs
+    // no scratch buffer.
+    std::sort(out->begin(), out->end(),
+              [](const ComponentRef& a, const ComponentRef& b) {
+                const double ra = a.node->rejection_probability();
+                const double rb = b.node->rejection_probability();
+                return ra != rb ? ra > rb : a.child_index < b.child_index;
+              });
   }
-  return refs;
+  return Status::OK();
 }
 
 }  // namespace cobra

@@ -48,6 +48,12 @@ class ComponentIterator {
                                            const TemplateNode* node,
                                            bool prioritize_predicates) const;
 
+  // The expansion Expand wraps: replaces `*out` with the references,
+  // reusing its capacity, and sorts in place without a scratch buffer.
+  Status ExpandInto(const ObjectData& obj, const TemplateNode* node,
+                    bool prioritize_predicates,
+                    std::vector<ComponentRef>* out) const;
+
  private:
   const AssemblyTemplate* template_;
 };

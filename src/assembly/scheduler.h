@@ -26,6 +26,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <memory_resource>
 #include <vector>
 
 #include "assembly/template.h"
@@ -54,6 +55,10 @@ struct PendingRef {
   // Physical page (from the directory; known without I/O) — what the
   // elevator scheduler orders by.
   PageId page = kInvalidPageId;
+  // Slot of the record on `page`.  With `page` this is the RecordId the
+  // directory returned when the reference was discovered, so resolving
+  // the reference reads the record without a second lookup.
+  uint16_t slot = 0;
   // Assembly depth (root = 0); bounds recursive templates.
   int depth = 0;
   // Reference into a shared component's subtree: survives aborts of any one
@@ -153,9 +158,12 @@ class ElevatorScheduler : public Scheduler {
   std::vector<PageId> PeekPages(PageId head, size_t k) const override;
 
  private:
+  // Node storage for by_page_: freed nodes are reused, so a warm pool
+  // allocates nothing per reference.  Declared first, destroyed last.
+  std::pmr::unsynchronized_pool_resource node_pool_;
   // Multimap keeps insertion order among equal pages, so same-page
   // references drain in (priority-ordered) arrival order.
-  std::multimap<PageId, PendingRef> by_page_;
+  std::pmr::multimap<PageId, PendingRef> by_page_{&node_pool_};
   bool sweeping_up_ = true;
 };
 

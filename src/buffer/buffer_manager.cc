@@ -98,16 +98,8 @@ BufferManager::BufferManager(SimulatedDisk* disk, BufferOptions options)
   size_t remainder = options_.num_frames % shards;
   for (size_t s = 0; s < shards; ++s) {
     auto shard = std::make_unique<Shard>();
-    size_t count = base + (s < remainder ? 1 : 0);
-    shard->policy = MakeReplacementPolicy(options_.replacement, count);
-    shard->frames.reserve(count);
-    for (size_t i = 0; i < count; ++i) {
-      shard->frames.push_back(std::make_unique<Frame>());
-    }
-    shard->free_list.reserve(count);
-    for (size_t i = count; i > 0; --i) {
-      shard->free_list.push_back(i - 1);
-    }
+    shard->capacity = base + (s < remainder ? 1 : 0);
+    shard->policy = MakeReplacementPolicy(options_.replacement, shard->capacity);
     shards_.push_back(std::move(shard));
   }
 }
@@ -190,6 +182,13 @@ Result<size_t> BufferManager::ObtainFrame(Shard* shard) {
     shard->free_list.pop_back();
     return frame;
   }
+  if (shard->frames.size() < shard->capacity) {
+    // Frames are created on first use, in index order, and only when no
+    // released frame is free: the order a pool built in full hands them
+    // out, so LRU and Clock choose the same victims.
+    shard->frames.push_back(std::make_unique<Frame>());
+    return shard->frames.size() - 1;
+  }
   std::optional<size_t> victim =
       shard->policy->Victim([this, shard](size_t f) {
         const Frame& frame = *shard->frames[f];
@@ -227,14 +226,18 @@ Status BufferManager::ReadWithRetry(Shard* shard, PageId id, std::byte* data,
                                     int attempt) {
   // Bounded retry for transient failures; everything else (NotFound,
   // Corruption, a failed checksum) is permanent and fails immediately.
-  obs::IoWaitTimer io_wait;
   int max_attempts = options_.retry.max_read_attempts < 1
                          ? 1
                          : options_.retry.max_read_attempts;
   Status read;
   PageId phys = Phys(id);
   for (;; ++attempt) {
-    read = disk_->ReadPage(phys, data);
+    {
+      // Only the device call is I/O wait; checksum verification below is
+      // CPU, as in ConsumePending and FixRun.
+      obs::IoWaitTimer io_wait;
+      read = disk_->ReadPage(phys, data);
+    }
     if (read.ok()) {
       read = VerifyPageChecksum(data, disk_->page_size(), id);
       if (read.ok()) break;
@@ -756,8 +759,8 @@ BufferManager::Residency BufferManager::GetResidency() const {
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
     size_t resident = 0;
+    residency.total_frames += shard->capacity;
     for (const auto& frame : shard->frames) {
-      residency.total_frames++;
       if (frame->has_pending) residency.pending++;
       if (!frame->valid) continue;
       resident++;
@@ -769,7 +772,8 @@ BufferManager::Residency BufferManager::GetResidency() const {
       }
     }
     residency.resident += resident;
-    residency.free_frames += shard->free_list.size();
+    residency.free_frames +=
+        shard->free_list.size() + (shard->capacity - shard->frames.size());
     residency.per_shard_resident.push_back(resident);
   }
   return residency;

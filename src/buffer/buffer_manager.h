@@ -317,9 +317,12 @@ class BufferManager {
   };
 
   // One lock stripe: frames, page table, free list and replacement state
-  // for the pages hashing to it.  Counter fields are guarded by mu.
+  // for the pages hashing to it.  Counter fields are guarded by mu.  Frames
+  // are created on first use, up to `capacity`; `free_list` holds only
+  // frames that were used and released.
   struct Shard {
     mutable std::mutex mu;
+    size_t capacity = 0;
     std::vector<std::unique_ptr<Frame>> frames;
     std::vector<size_t> free_list;
     std::unordered_map<PageId, size_t> page_table;
@@ -347,8 +350,9 @@ class BufferManager {
 
   void Unpin(Frame* frame);
   void NotePin(Frame* frame);
-  // Finds a frame to fill: free-list first, then a replacement victim
-  // (writing it back if dirty).  Caller holds shard.mu.
+  // Finds a frame to fill: free-list first, then a new frame while the
+  // shard is below capacity, then a replacement victim (writing it back if
+  // dirty).  Caller holds shard.mu.
   Result<size_t> ObtainFrame(Shard* shard);
   Status WriteBack(Shard* shard, Frame* frame);
   // Reads `id` into `data` with the transient-retry policy, starting the

@@ -2,18 +2,36 @@
 
 namespace cobra {
 
-void LruPolicy::RecordAccess(size_t frame) {
-  auto it = position_.find(frame);
-  if (it != position_.end()) {
-    order_.erase(it->second);
+LruPolicy::LruPolicy(size_t num_frames)
+    : prev_(num_frames + 1),
+      next_(num_frames + 1),
+      sentinel_(static_cast<uint32_t>(num_frames)) {
+  for (uint32_t f = 0; f <= sentinel_; ++f) {
+    prev_[f] = f;
+    next_[f] = f;
   }
-  order_.push_back(frame);
-  position_[frame] = std::prev(order_.end());
+}
+
+void LruPolicy::Unlink(size_t frame) {
+  next_[prev_[frame]] = next_[frame];
+  prev_[next_[frame]] = prev_[frame];
+  prev_[frame] = static_cast<uint32_t>(frame);
+  next_[frame] = static_cast<uint32_t>(frame);
+}
+
+void LruPolicy::RecordAccess(size_t frame) {
+  Unlink(frame);
+  const uint32_t last = prev_[sentinel_];
+  prev_[frame] = last;
+  next_[frame] = sentinel_;
+  next_[last] = static_cast<uint32_t>(frame);
+  prev_[sentinel_] = static_cast<uint32_t>(frame);
 }
 
 std::optional<size_t> LruPolicy::Victim(
     const std::function<bool(size_t)>& evictable) {
-  for (size_t frame : order_) {
+  for (uint32_t frame = next_[sentinel_]; frame != sentinel_;
+       frame = next_[frame]) {
     if (evictable(frame)) {
       return frame;
     }
@@ -21,13 +39,7 @@ std::optional<size_t> LruPolicy::Victim(
   return std::nullopt;
 }
 
-void LruPolicy::Remove(size_t frame) {
-  auto it = position_.find(frame);
-  if (it != position_.end()) {
-    order_.erase(it->second);
-    position_.erase(it);
-  }
-}
+void LruPolicy::Remove(size_t frame) { Unlink(frame); }
 
 ClockPolicy::ClockPolicy(size_t num_frames)
     : referenced_(num_frames, false), tracked_(num_frames, false) {}
@@ -65,11 +77,11 @@ std::unique_ptr<ReplacementPolicy> MakeReplacementPolicy(ReplacementKind kind,
                                                          size_t num_frames) {
   switch (kind) {
     case ReplacementKind::kLru:
-      return std::make_unique<LruPolicy>();
+      return std::make_unique<LruPolicy>(num_frames);
     case ReplacementKind::kClock:
       return std::make_unique<ClockPolicy>(num_frames);
   }
-  return std::make_unique<LruPolicy>();
+  return std::make_unique<LruPolicy>(num_frames);
 }
 
 }  // namespace cobra

@@ -10,11 +10,10 @@
 #define COBRA_BUFFER_REPLACEMENT_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
-#include <list>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 namespace cobra {
@@ -35,17 +34,28 @@ class ReplacementPolicy {
   virtual void Remove(size_t frame) = 0;
 };
 
-// Strict least-recently-used.
+// Strict least-recently-used over frames [0, num_frames).  The recency
+// order is an intrusive doubly linked list threaded through per-frame
+// prev/next indices, so an access relinks one frame without allocating or
+// hashing.
 class LruPolicy : public ReplacementPolicy {
  public:
+  explicit LruPolicy(size_t num_frames);
+
   void RecordAccess(size_t frame) override;
   std::optional<size_t> Victim(
       const std::function<bool(size_t)>& evictable) override;
   void Remove(size_t frame) override;
 
  private:
-  std::list<size_t> order_;  // front = least recently used
-  std::unordered_map<size_t, std::list<size_t>::iterator> position_;
+  void Unlink(size_t frame);
+
+  // Links of frame f at index f; index num_frames is the sentinel, whose
+  // next is the least and prev the most recently used frame.  An untracked
+  // frame links to itself.
+  std::vector<uint32_t> prev_;
+  std::vector<uint32_t> next_;
+  uint32_t sentinel_;
 };
 
 // Clock (second chance): one reference bit per frame, a sweeping hand.

@@ -41,24 +41,30 @@ std::vector<std::byte> ObjectData::Serialize() const {
 
 Result<ObjectData> ObjectData::Deserialize(std::span<const std::byte> buf) {
   ObjectData obj;
+  COBRA_RETURN_IF_ERROR(DeserializeInto(buf, &obj));
+  return obj;
+}
+
+Status ObjectData::DeserializeInto(std::span<const std::byte> buf,
+                                   ObjectData* out) {
   uint16_t nfields = 0;
   uint16_t nrefs = 0;
-  COBRA_RETURN_IF_ERROR(Take(&buf, &obj.oid));
-  COBRA_RETURN_IF_ERROR(Take(&buf, &obj.type_id));
+  COBRA_RETURN_IF_ERROR(Take(&buf, &out->oid));
+  COBRA_RETURN_IF_ERROR(Take(&buf, &out->type_id));
   COBRA_RETURN_IF_ERROR(Take(&buf, &nfields));
   COBRA_RETURN_IF_ERROR(Take(&buf, &nrefs));
-  if (buf.size() != nfields * sizeof(int32_t) + nrefs * sizeof(Oid)) {
+  const size_t field_bytes = nfields * sizeof(int32_t);
+  if (buf.size() != field_bytes + nrefs * sizeof(Oid)) {
     return Status::Corruption("object record size mismatch");
   }
-  obj.fields.resize(nfields);
-  obj.refs.resize(nrefs);
-  for (uint16_t i = 0; i < nfields; ++i) {
-    COBRA_RETURN_IF_ERROR(Take(&buf, &obj.fields[i]));
+  out->fields.resize(nfields);
+  out->refs.resize(nrefs);
+  if (nfields > 0) std::memcpy(out->fields.data(), buf.data(), field_bytes);
+  if (nrefs > 0) {
+    std::memcpy(out->refs.data(), buf.data() + field_bytes,
+                buf.size() - field_bytes);
   }
-  for (uint16_t i = 0; i < nrefs; ++i) {
-    COBRA_RETURN_IF_ERROR(Take(&buf, &obj.refs[i]));
-  }
-  return obj;
+  return Status::OK();
 }
 
 }  // namespace cobra

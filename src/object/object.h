@@ -39,6 +39,13 @@ struct ObjectData {
 
   static Result<ObjectData> Deserialize(std::span<const std::byte> buf);
 
+  // The decoder Deserialize wraps: decodes `buf` into `*out`, reusing the
+  // capacity of its vectors, so a caller that keeps one ObjectData decodes
+  // record after record without allocating.  On error `*out` is
+  // unspecified.
+  static Status DeserializeInto(std::span<const std::byte> buf,
+                                ObjectData* out);
+
   friend bool operator==(const ObjectData&, const ObjectData&) = default;
 };
 

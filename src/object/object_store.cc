@@ -42,18 +42,24 @@ Result<Oid> ObjectStore::InsertAtPage(const ObjectData& obj, HeapFile* file,
 
 Result<ObjectData> ObjectStore::Get(Oid oid) const {
   COBRA_ASSIGN_OR_RETURN(RecordId location, directory_->Lookup(oid));
+  ObjectData obj;
+  COBRA_RETURN_IF_ERROR(ReadAt(oid, location, &obj));
+  return obj;
+}
+
+Status ObjectStore::ReadAt(Oid oid, RecordId location, ObjectData* out) const {
   COBRA_ASSIGN_OR_RETURN(PageGuard guard, buffer_->FetchPage(location.page));
   SlottedPage page(guard.data().data(), guard.data().size());
   COBRA_ASSIGN_OR_RETURN(std::span<const std::byte> body,
                          page.Get(location.slot));
-  COBRA_ASSIGN_OR_RETURN(ObjectData obj, ObjectData::Deserialize(body));
-  if (obj.oid != oid) {
+  COBRA_RETURN_IF_ERROR(ObjectData::DeserializeInto(body, out));
+  if (out->oid != oid) {
     return Status::Corruption("directory points at record with OID " +
-                              std::to_string(obj.oid) + ", expected " +
+                              std::to_string(out->oid) + ", expected " +
                               std::to_string(oid));
   }
   stats_.objects_read++;
-  return obj;
+  return Status::OK();
 }
 
 Status ObjectStore::Update(const ObjectData& obj) {

@@ -57,6 +57,12 @@ class ObjectStore {
   // Reads and decodes the object.  NotFound if the OID is unregistered.
   Result<ObjectData> Get(Oid oid) const;
 
+  // Get without the directory lookup: decodes the record at `location`,
+  // which Locate(oid) returned, into `*out`, reusing its storage.
+  // Corruption if the record there is not `oid`.  Get is Locate plus
+  // ReadAt.
+  Status ReadAt(Oid oid, RecordId location, ObjectData* out) const;
+
   // Physical location without I/O (with a HashDirectory).
   Result<RecordId> Locate(Oid oid) const { return directory_->Lookup(oid); }
 

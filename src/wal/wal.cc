@@ -159,7 +159,8 @@ void WalManager::DaemonLoop() {
   std::vector<std::byte> page(ps);
   while (true) {
     work_cv_.wait(lock, [&] {
-      return stop_ || (log_status_.ok() && !pending_.empty());
+      return stop_ || (log_status_.ok() && !pending_.empty() &&
+                       requested_lsn_ > durable_lsn_);
     });
     if (stop_) {
       break;
@@ -243,6 +244,7 @@ Status WalManager::FlushUntilLocked(Lsn target,
   if (target == 0 || durable_lsn_ >= target) {
     return log_status_;
   }
+  requested_lsn_ = std::max(requested_lsn_, target);
   work_cv_.notify_all();
   durable_cv_.wait(lock, [&] {
     return stop_ || !log_status_.ok() || durable_lsn_ >= target;

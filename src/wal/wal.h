@@ -21,7 +21,9 @@
 //     appended since its last write into one multi-page flush, always
 //     starting on a fresh log page, so concurrent committers share a
 //     single log write and a torn log write can only damage commits that
-//     were never acknowledged.
+//     were never acknowledged.  It writes only when someone waits on the
+//     log (a commit, Flush, or a data-page write-back), so a single-threaded
+//     workload issues the same log writes on every run.
 //
 // Recovery (Recover) scans the log (ScanLog, shared with tools/wal_dump),
 // discards the torn tail, classifies transactions by the presence of a
@@ -220,6 +222,7 @@ class WalManager : public PageWriteGate {
   Lsn next_lsn_ = 1;
   Lsn last_appended_lsn_ = 0;
   Lsn durable_lsn_ = 0;
+  Lsn requested_lsn_ = 0;  // highest LSN a waiter needs durable
   PageId cursor_;     // next fresh log page
   uint16_t epoch_ = 1;
   bool recovered_ = false;

@@ -225,7 +225,7 @@ TEST(BufferTest, FlushPageOnlyWritesDirty) {
 }
 
 TEST(LruPolicyTest, VictimSkipsUnevictable) {
-  LruPolicy lru;
+  LruPolicy lru(3);
   lru.RecordAccess(0);
   lru.RecordAccess(1);
   lru.RecordAccess(2);
@@ -235,7 +235,7 @@ TEST(LruPolicyTest, VictimSkipsUnevictable) {
 }
 
 TEST(LruPolicyTest, EmptyReturnsNullopt) {
-  LruPolicy lru;
+  LruPolicy lru(2);
   EXPECT_FALSE(lru.Victim([](size_t) { return true; }).has_value());
 }
 

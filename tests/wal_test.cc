@@ -264,6 +264,30 @@ TEST(WalManager, GroupCommitMakesDenseDurableLog) {
   EXPECT_EQ(scan.complete_batches, stats.batches_flushed);
 }
 
+TEST(WalManager, DaemonWritesOnlyWhenAWaiterAsks) {
+  // The daemon thread starts with the manager and may first run while the
+  // transaction below is still appending; those records must wait for the
+  // commit that asks for them, so every fresh log holds exactly one batch
+  // whatever the scheduling, and crash-point sweeps see the same writes on
+  // every run.
+  for (int round = 0; round < 20; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    SimulatedDisk disk;
+    WalManager wal(&disk, LogOptions());
+    ASSERT_TRUE(wal.Recover().ok());
+    auto txn = wal.Begin();
+    ASSERT_TRUE(txn.ok());
+    auto body = PatternRecord(40, static_cast<uint8_t>(round));
+    for (uint16_t slot = 0; slot < 50; ++slot) {
+      ASSERT_TRUE(wal.LogHeapInsert(*txn, 0, slot, body).ok());
+    }
+    ASSERT_TRUE(wal.Commit(*txn).ok());
+    wal::WalStats stats = wal.stats();
+    EXPECT_EQ(stats.batches_flushed, 1u);
+    EXPECT_EQ(disk.stats().writes, stats.log_pages_written);
+  }
+}
+
 TEST(WalManager, UnknownTxnRejected) {
   SimulatedDisk disk;
   WalManager wal(&disk, LogOptions());
