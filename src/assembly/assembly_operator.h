@@ -34,6 +34,7 @@
 #include "assembly/component_iterator.h"
 #include "assembly/scheduler.h"
 #include "assembly/template.h"
+#include "common/flat_map.h"
 #include "exec/iterator.h"
 #include "object/assembled_object.h"
 #include "object/object_store.h"
@@ -266,7 +267,11 @@ class AssemblyOperator : public exec::Iterator {
   ComponentIterator components_;
   std::unique_ptr<Scheduler> scheduler_;
   std::shared_ptr<ObjectArena> arena_;
-  std::unordered_map<uint64_t, InFlight> in_flight_;
+  // The window, by complex-object id (ids start at 1; 0 is the empty key).
+  // A flat map: admitting or finishing a complex object moves other
+  // entries, so no InFlight pointer is held across AdmitOne, AbortComplex,
+  // DropComplex or MaybeFinishComplex.
+  FlatMap<uint64_t, InFlight> in_flight_;
   std::unordered_map<Oid, SharedEntry> shared_map_;
   std::deque<ReadyRow> ready_;
   // The pages backing the window (§6.3.3): the charges each page holds

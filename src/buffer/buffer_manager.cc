@@ -338,7 +338,7 @@ Result<PageGuard> BufferManager::FetchPage(PageId id) {
       shard.faults++;
       ChargeFault();
       if (listener_ != nullptr) listener_->OnBufferFault(id);
-      shard.faulted_pages.insert(id);
+      shard.faulted_pages.emplace(id, true);
     } else {
       shard.hits++;
       ChargeHit();
@@ -359,7 +359,7 @@ Result<PageGuard> BufferManager::FetchPage(PageId id) {
   shard.faults++;
   ChargeFault();
   if (listener_ != nullptr) listener_->OnBufferFault(id);
-  shard.faulted_pages.insert(id);
+  shard.faulted_pages.emplace(id, true);
   frame.page_id = id;
   frame.valid = true;
   frame.dirty.store(false, std::memory_order_relaxed);
@@ -430,7 +430,7 @@ void BufferManager::FixRun(PageId first, size_t n, bool ascending,
         shard.faults++;
         ChargeFault();
         if (listener_ != nullptr) listener_->OnBufferFault(id);
-        shard.faulted_pages.insert(id);
+        shard.faulted_pages.emplace(id, true);
       } else {
         shard.hits++;
         ChargeHit();
@@ -567,7 +567,7 @@ void BufferManager::FixRun(PageId first, size_t n, bool ascending,
       shard.faults++;
       ChargeFault();
       if (listener_ != nullptr) listener_->OnBufferFault(id);
-      shard.faulted_pages.insert(id);
+      shard.faulted_pages.emplace(id, true);
       frame.page_id = id;
       frame.valid = true;
       frame.dirty.store(false, std::memory_order_relaxed);
@@ -590,6 +590,11 @@ void BufferManager::PrefetchRun(PageId first, size_t n) {
 }
 
 Status BufferManager::PrefetchPage(PageId id) {
+  if (id == kInvalidPageId) {
+    // The page table enters a prefetch before its read completes, and the
+    // invalid id is its empty-slot sentinel.
+    return Status::InvalidArgument("cannot prefetch the invalid page id");
+  }
   Shard& shard = ShardFor(id);
   std::lock_guard<std::mutex> lock(shard.mu);
   if (shard.page_table.contains(id)) {
@@ -643,9 +648,10 @@ Status BufferManager::FlushPage(PageId id) {
   if (it == shard.page_table.end()) {
     return Status::NotFound("page not resident");
   }
-  Frame* frame = shard.frames[it->second].get();
+  const size_t frame_index = it->second;
+  Frame* frame = shard.frames[frame_index].get();
   if (frame->has_pending) {
-    COBRA_RETURN_IF_ERROR(ConsumePending(&shard, it->second, id));
+    COBRA_RETURN_IF_ERROR(ConsumePending(&shard, frame_index, id));
   }
   if (write_gate_ != nullptr && write_gate_->IsUncommitted(id)) {
     return Status::OK();  // no-steal: stays dirty until its txn resolves

@@ -32,11 +32,10 @@
 #include <memory>
 #include <mutex>
 #include <span>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "buffer/replacement.h"
+#include "common/flat_map.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "storage/disk.h"
@@ -319,14 +318,17 @@ class BufferManager {
   // One lock stripe: frames, page table, free list and replacement state
   // for the pages hashing to it.  Counter fields are guarded by mu.  Frames
   // are created on first use, up to `capacity`; `free_list` holds only
-  // frames that were used and released.
+  // frames that were used and released.  The page table and the set of
+  // faulted pages are flat maps (common/flat_map.h): code holding an
+  // iterator into either must not insert or erase before its last use.
   struct Shard {
     mutable std::mutex mu;
     size_t capacity = 0;
     std::vector<std::unique_ptr<Frame>> frames;
     std::vector<size_t> free_list;
-    std::unordered_map<PageId, size_t> page_table;
-    std::unordered_set<PageId> faulted_pages;
+    FlatMap<PageId, size_t, kInvalidPageId> page_table;
+    // Keys only; the value is unused.
+    FlatMap<PageId, bool, kInvalidPageId> faulted_pages;
     std::unique_ptr<ReplacementPolicy> policy;
 
     uint64_t hits = 0;

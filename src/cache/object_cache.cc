@@ -162,7 +162,7 @@ void ObjectCache::Insert(const AssemblyTemplate* tmpl,
   CopyScope scope{space, &entry->segments, &seen};
   std::unordered_map<const AssembledObject*, AssembledObject*> memo;
   entry->root =
-      CopyNodeLocked(&obj, tmpl->root(), &entry->nodes, &entry->by_oid,
+      CopyNodeLocked(&obj, tmpl->root(), &entry->arena, &entry->by_oid,
                      &memo, &scope);
 
   space->entries.emplace(obj.oid, entry);
@@ -175,23 +175,19 @@ void ObjectCache::Insert(const AssemblyTemplate* tmpl,
 
 AssembledObject* ObjectCache::CopyNodeLocked(
     const AssembledObject* src, const TemplateNode* tnode,
-    std::vector<std::unique_ptr<AssembledObject>>* nodes,
+    ObjectArena* arena,
     std::unordered_map<Oid, std::vector<AssembledObject*>>* by_oid,
     std::unordered_map<const AssembledObject*, AssembledObject*>* memo,
     CopyScope* scope) {
   auto it = memo->find(src);
   if (it != memo->end()) return it->second;
-  auto owned = std::make_unique<AssembledObject>();
-  AssembledObject* copy = owned.get();
-  nodes->push_back(std::move(owned));
+  AssembledObject* copy =
+      arena->New(src->oid, src->type_id, src->fields, src->children.size());
   // Memoize before recursing: recursive templates over cyclic data resolve
   // back-references to the placeholder instead of looping.
   (*memo)[src] = copy;
-  copy->oid = src->oid;
-  copy->type_id = src->type_id;
-  copy->fields = src->fields;
-  copy->child_slots = src->child_slots;
-  copy->children.assign(src->children.size(), nullptr);
+  std::copy(src->child_slots.begin(), src->child_slots.end(),
+            copy->child_slots.begin());
   (*by_oid)[src->oid].push_back(copy);
   for (size_t i = 0; i < src->children.size(); ++i) {
     const AssembledObject* child = src->children[i];
@@ -206,7 +202,7 @@ AssembledObject* ObjectCache::CopyNodeLocked(
     if (child_node != nullptr && child_node->shared) {
       child_copy = LinkSegmentLocked(child, child_node, scope);
     } else {
-      child_copy = CopyNodeLocked(child, child_node, nodes, by_oid, memo,
+      child_copy = CopyNodeLocked(child, child_node, arena, by_oid, memo,
                                   scope);
     }
     copy->children[i] = child_copy;
@@ -235,7 +231,7 @@ AssembledObject* ObjectCache::LinkSegmentLocked(const AssembledObject* src,
     std::unordered_set<SharedSegment*> nested_seen;
     CopyScope nested{space, &segment->children, &nested_seen};
     std::unordered_map<const AssembledObject*, AssembledObject*> memo;
-    segment->root = CopyNodeLocked(src, tnode, &segment->nodes,
+    segment->root = CopyNodeLocked(src, tnode, &segment->arena,
                                    &segment->by_oid, &memo, &nested);
     // Each nested child already carries exactly one reference from this
     // segment: the nested scope's link step charged it when it pushed the
@@ -297,20 +293,19 @@ void ObjectCache::EvictToCapacityLocked() {
   }
 }
 
-bool ObjectCache::PatchEntryLocked(Entry* entry, const ObjectData& after) {
-  bool patched = false;
-  auto apply = [&after, &patched](
-                   std::unordered_map<Oid, std::vector<AssembledObject*>>&
-                       by_oid) {
+ObjectCache::PatchResult ObjectCache::PatchEntryLocked(
+    Entry* entry, const ObjectData& after) {
+  // Every copy of the object the entry reaches: its own, and those in its
+  // shared segments, transitively (nested borders hang off their parents).
+  std::vector<AssembledObject*> copies;
+  auto collect = [&after, &copies](
+                     const std::unordered_map<
+                         Oid, std::vector<AssembledObject*>>& by_oid) {
     auto it = by_oid.find(after.oid);
     if (it == by_oid.end()) return;
-    for (AssembledObject* node : it->second) {
-      node->fields = after.fields;
-      patched = true;
-    }
+    copies.insert(copies.end(), it->second.begin(), it->second.end());
   };
-  apply(entry->by_oid);
-  // Shared segments, transitively: nested borders hang off their parents.
+  collect(entry->by_oid);
   std::unordered_set<SharedSegment*> visited;
   std::vector<SharedSegment*> stack(entry->segments.begin(),
                                     entry->segments.end());
@@ -318,10 +313,21 @@ bool ObjectCache::PatchEntryLocked(Entry* entry, const ObjectData& after) {
     SharedSegment* segment = stack.back();
     stack.pop_back();
     if (!visited.insert(segment).second) continue;
-    apply(segment->by_oid);
+    collect(segment->by_oid);
     for (SharedSegment* child : segment->children) stack.push_back(child);
   }
-  return patched;
+  if (copies.empty()) return PatchResult::kAbsent;
+  // The cached fields live in fixed-size arena spans: write the
+  // after-image only where it fits exactly, and into no copy otherwise.
+  for (const AssembledObject* node : copies) {
+    if (node->fields.size() != after.fields.size()) {
+      return PatchResult::kReshaped;
+    }
+  }
+  for (AssembledObject* node : copies) {
+    std::copy(after.fields.begin(), after.fields.end(), node->fields.begin());
+  }
+  return PatchResult::kPatched;
 }
 
 WriteEffect ObjectCache::ApplyCommittedWrite(
@@ -336,13 +342,15 @@ WriteEffect ObjectCache::ApplyCommittedWrite(
     for (Entry* entry : targets) {
       if (entry->zombie) continue;
       if (op.patch && entry->space->patchable) {
-        if (PatchEntryLocked(entry, op.after)) {
+        PatchResult patched = PatchEntryLocked(entry, op.after);
+        if (patched == PatchResult::kPatched) {
           effect.patched++;
           if (listener_ != nullptr) {
             listener_->OnCachePatch(op.after.oid, op.page);
           }
         }
-        continue;
+        // A reshaped object cannot be patched in place; invalidate.
+        if (patched != PatchResult::kReshaped) continue;
       }
       Oid root = entry->root_oid;
       RemoveEntryLocked(entry, /*evict=*/false);

@@ -166,7 +166,7 @@ class ObjectCache {
   struct SharedSegment {
     Oid root_oid = kInvalidOid;
     AssembledObject* root = nullptr;
-    std::vector<std::unique_ptr<AssembledObject>> nodes;
+    ObjectArena arena;  // the segment's copied nodes
     std::unordered_map<Oid, std::vector<AssembledObject*>> by_oid;
     // Nested shared borders reached from inside this segment; this segment
     // holds one reference on each, so entry->segment chains stay alive.
@@ -181,7 +181,7 @@ class ObjectCache {
     Oid root_oid = kInvalidOid;
     uint64_t key = 0;
     AssembledObject* root = nullptr;
-    std::vector<std::unique_ptr<AssembledObject>> nodes;  // entry-private
+    ObjectArena arena;  // the entry-private copied nodes
     std::unordered_map<Oid, std::vector<AssembledObject*>> by_oid;
     std::vector<SharedSegment*> segments;  // one reference held on each
     std::vector<PageId> footprint;         // sorted, distinct
@@ -212,7 +212,7 @@ class ObjectCache {
   void DropSpaceLocked(Space* space);
   AssembledObject* CopyNodeLocked(
       const AssembledObject* src, const TemplateNode* tnode,
-      std::vector<std::unique_ptr<AssembledObject>>* nodes,
+      ObjectArena* arena,
       std::unordered_map<Oid, std::vector<AssembledObject*>>* by_oid,
       std::unordered_map<const AssembledObject*, AssembledObject*>* memo,
       CopyScope* scope);
@@ -224,7 +224,11 @@ class ObjectCache {
   // policy's ghost lists.  Frees it unless pinned (then zombie).
   void RemoveEntryLocked(Entry* entry, bool evict);
   void EvictToCapacityLocked();
-  bool PatchEntryLocked(Entry* entry, const ObjectData& after);
+  // Outcome of patching one entry: it holds no copy of the object; every
+  // copy was overwritten; or the after-image's field count differs from
+  // the copies' (their spans cannot grow), so nothing was written.
+  enum class PatchResult { kAbsent, kPatched, kReshaped };
+  PatchResult PatchEntryLocked(Entry* entry, const ObjectData& after);
   void ChargeLookupLocked(Oid root, bool hit);
 
   const CacheOptions options_;

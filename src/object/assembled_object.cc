@@ -1,16 +1,69 @@
 #include "object/assembled_object.h"
 
+#include <algorithm>
+#include <new>
+#include <type_traits>
+
 namespace cobra {
 
-AssembledObject* ObjectArena::NewFrom(const ObjectData& data,
-                                      size_t template_child_count) {
-  AssembledObject* obj = New();
-  obj->oid = data.oid;
-  obj->type_id = data.type_id;
-  obj->fields = data.fields;
-  obj->children.assign(template_child_count, nullptr);
-  obj->child_slots.assign(template_child_count, -1);
-  return obj;
+static_assert(std::is_trivially_destructible_v<AssembledObject>,
+              "the arena frees nodes without running destructors");
+
+namespace {
+
+constexpr size_t kAlign = alignof(AssembledObject);
+
+constexpr size_t RoundUp(size_t bytes) {
+  return (bytes + kAlign - 1) / kAlign * kAlign;
+}
+
+}  // namespace
+
+std::byte* ObjectArena::Allocate(size_t bytes) {
+  if (bytes > remaining_) {
+    // Oversized requests get a block of their own size; the doubling
+    // schedule continues from where it was.
+    size_t block = std::max(bytes, next_block_bytes_);
+    next_block_bytes_ = std::min(next_block_bytes_ * 2, kMaxBlockBytes);
+    blocks_.push_back(std::make_unique_for_overwrite<std::byte[]>(block));
+    cursor_ = blocks_.back().get();
+    remaining_ = block;
+    reserved_ += block;
+  }
+  std::byte* out = cursor_;
+  cursor_ += bytes;
+  remaining_ -= bytes;
+  return out;
+}
+
+AssembledObject* ObjectArena::New(Oid oid, TypeId type_id,
+                                  std::span<const int32_t> fields,
+                                  size_t child_count) {
+  // One piece: the node, then its child pointers, fields and slots.
+  static_assert(alignof(AssembledObject*) <= kAlign &&
+                alignof(int32_t) <= alignof(AssembledObject*));
+  const size_t children_at = RoundUp(sizeof(AssembledObject));
+  const size_t fields_at =
+      children_at + child_count * sizeof(AssembledObject*);
+  const size_t slots_at = fields_at + fields.size() * sizeof(int32_t);
+  const size_t total = RoundUp(slots_at + child_count * sizeof(int));
+  std::byte* base = Allocate(total);
+
+  auto* children = reinterpret_cast<AssembledObject**>(base + children_at);
+  auto* field_data = reinterpret_cast<int32_t*>(base + fields_at);
+  auto* slots = reinterpret_cast<int*>(base + slots_at);
+  std::fill_n(children, child_count, nullptr);
+  std::copy(fields.begin(), fields.end(), field_data);
+  std::fill_n(slots, child_count, -1);
+
+  auto* node = new (base) AssembledObject();
+  node->oid = oid;
+  node->type_id = type_id;
+  node->fields = {field_data, fields.size()};
+  node->children = {children, child_count};
+  node->child_slots = {slots, child_count};
+  nodes_++;
+  return node;
 }
 
 namespace {

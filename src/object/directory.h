@@ -7,7 +7,8 @@
 //
 //   * HashDirectory  — resident map; what the experiments use, standing in
 //     for a hot, cached OID index (the paper assumes location lookups are
-//     cheap relative to seeks).
+//     cheap relative to seeks).  A flat open-addressing table: the
+//     assembly operator probes it once per reference.
 //   * BTreeDirectory — persistent mapping through the B+-tree; used by tests
 //     and examples to show the full disk-backed path.
 
@@ -15,8 +16,8 @@
 #define COBRA_OBJECT_DIRECTORY_H_
 
 #include <cstddef>
-#include <unordered_map>
 
+#include "common/flat_map.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "file/heap_file.h"
@@ -45,7 +46,7 @@ class HashDirectory : public Directory {
   size_t size() const override { return map_.size(); }
 
  private:
-  std::unordered_map<Oid, RecordId> map_;
+  FlatMap<Oid, RecordId, kInvalidOid> map_;
 };
 
 class BTreeDirectory : public Directory {

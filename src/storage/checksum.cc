@@ -49,9 +49,45 @@ uint32_t LoadChecksum(const std::byte* page) {
   return v;
 }
 
+#if defined(__x86_64__)
+// SSE4.2's crc32 instruction computes exactly this CRC (reflected
+// Castagnoli polynomial), eight bytes per instruction.  Compiled for
+// SSE4.2 regardless of the build's target flags and called only when the
+// CPU reports the feature.
+__attribute__((target("sse4.2"))) uint32_t Crc32cSse42(const std::byte* data,
+                                                       size_t n) {
+  uint64_t crc = 0xFFFFFFFFu;
+  for (; n >= 8; data += 8, n -= 8) {
+    uint64_t word;
+    std::memcpy(&word, data, sizeof(word));
+    crc = __builtin_ia32_crc32di(crc, word);
+  }
+  uint32_t crc32 = static_cast<uint32_t>(crc);
+  for (; n > 0; ++data, --n) {
+    crc32 = __builtin_ia32_crc32qi(crc32, static_cast<uint8_t>(*data));
+  }
+  return crc32 ^ 0xFFFFFFFFu;
+}
+#endif
+
+using Crc32cFn = uint32_t (*)(const std::byte*, size_t);
+
+Crc32cFn SelectCrc32c() {
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("sse4.2")) return Crc32cSse42;
+#endif
+  return Crc32cPortable;
+}
+
 }  // namespace
 
 uint32_t Crc32c(const std::byte* data, size_t n) {
+  static const Crc32cFn impl = SelectCrc32c();
+  return impl(data, n);
+}
+
+uint32_t Crc32cPortable(const std::byte* data, size_t n) {
   const Crc32cTables& t = Crc32cTable();
   uint32_t crc = 0xFFFFFFFFu;
   for (; n >= 8; data += 8, n -= 8) {

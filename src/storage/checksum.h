@@ -25,8 +25,14 @@ namespace cobra {
 // Bytes reserved at offset 0 of every buffer-managed page layout.
 inline constexpr size_t kPageChecksumSize = 4;
 
-// CRC32C (Castagnoli polynomial, the iSCSI/RocksDB/ext4 checksum).
+// CRC32C (Castagnoli polynomial, the iSCSI/RocksDB/ext4 checksum).  Uses
+// the SSE4.2 crc32 instruction when the CPU has it (checked once) and
+// Crc32cPortable otherwise; both return identical values.
 uint32_t Crc32c(const std::byte* data, size_t n);
+
+// The portable slicing-by-8 implementation, on every CPU.  Exposed so tests
+// can check it on hosts where Crc32c dispatches to the instruction.
+uint32_t Crc32cPortable(const std::byte* data, size_t n);
 
 // Computes the CRC32C of bytes [kPageChecksumSize, page_size) and stores it
 // little-endian in bytes [0, kPageChecksumSize).  A computed value of zero

@@ -124,11 +124,12 @@ void ExpectConservation(const ServiceRun& run) {
   EXPECT_EQ(run.attributed.checksum_failures, run.buffer.checksum_failures);
 }
 
-std::unique_ptr<AcobDatabase> BuildDb(size_t objects, uint64_t seed = 42,
-                                      bool faults = false) {
+std::unique_ptr<AcobDatabase> BuildDb(
+    size_t objects, uint64_t seed = 42, bool faults = false,
+    Clustering clustering = Clustering::kUnclustered) {
   AcobOptions options;
   options.num_complex_objects = objects;
-  options.clustering = Clustering::kUnclustered;
+  options.clustering = clustering;
   options.seed = seed;
   if (faults) options.faults = FaultProfile::Mixed(/*seed=*/7);
   auto built = BuildAcobDatabase(options);
@@ -224,7 +225,12 @@ TEST(Attribution, QueryIdsAreUniqueAndStable) {
 }
 
 TEST(Attribution, SlowQueryReportCarriesExplainAndTimeline) {
-  auto db = BuildDb(100);
+  // Inter-object clustering gives each client's roots pages of their own.
+  // Unclustered, the two clients' components share pages, and the query
+  // that starts second can find every page it needs already resident: its
+  // report then rightly holds no disk read.
+  auto db = BuildDb(100, /*seed=*/42, /*faults=*/false,
+                    Clustering::kInterObject);
   std::vector<obs::SlowQueryReport> reports;
   RunConfig config = Config(2, 2, 4);
   config.slow_query_ns = 1;  // every query trips the threshold

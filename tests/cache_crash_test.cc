@@ -235,7 +235,8 @@ void VerifyColdConsistentCache(FaultInjectingDisk* disk, const Ack& ack,
         &cache, &pair.tmpl, &store, live_roots, AssemblyOptions{},
         /*batch_size=*/8, nullptr, [&](const AssembledObject& got) {
           VisitAssembled(&got, [&](const AssembledObject& node) {
-            delivered[node.oid] = node.fields;
+            delivered[node.oid].assign(node.fields.begin(),
+                                       node.fields.end());
           });
         });
     ASSERT_TRUE(result.status.ok()) << result.status.ToString();

@@ -165,7 +165,8 @@ TEST_P(CacheFuzzTest, RandomGraphsSurviveInvalidationChurn) {
         ADD_FAILURE() << "cached node with unknown oid " << node.oid;
         return;
       }
-      EXPECT_EQ(node.fields, it->second.fields)
+      EXPECT_EQ(std::vector<int32_t>(node.fields.begin(), node.fields.end()),
+                it->second.fields)
           << "stale cached value for oid " << node.oid << " under root "
           << root;
     });
@@ -181,7 +182,9 @@ TEST_P(CacheFuzzTest, RandomGraphsSurviveInvalidationChurn) {
           VisitAssembled(&got, [&](const AssembledObject& node) {
             auto it = image.find(node.oid);
             ASSERT_NE(it, image.end());
-            EXPECT_EQ(node.fields, it->second.fields)
+            EXPECT_EQ(std::vector<int32_t>(node.fields.begin(),
+                                           node.fields.end()),
+                      it->second.fields)
                 << "delivered stale oid " << node.oid;
           });
         });

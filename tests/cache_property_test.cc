@@ -56,7 +56,7 @@ constexpr size_t kReaderJobs = 24;
 std::map<Oid, std::vector<int32_t>> FieldsByOid(const AssembledObject* root) {
   std::map<Oid, std::vector<int32_t>> fields;
   VisitAssembled(root, [&fields](const AssembledObject& node) {
-    fields[node.oid] = node.fields;
+    fields[node.oid].assign(node.fields.begin(), node.fields.end());
   });
   return fields;
 }

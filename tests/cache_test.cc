@@ -16,6 +16,7 @@
 #include "cache/cache_policy.h"
 #include "cache/cached_assembly.h"
 #include "cache/object_cache.h"
+#include "exec/scan.h"
 #include "file/heap_file.h"
 #include "object/assembled_object.h"
 #include "object/directory.h"
@@ -216,6 +217,77 @@ TEST_F(CacheTest, ScalarPatchVisibleOnNextLookup) {
   EXPECT_EQ(SumField(ref.object, 0), 10 + 20 + 99);
   cache.Release(ref);
   EXPECT_EQ(cache.stats().patches, 1u);
+}
+
+TEST_F(CacheTest, EntryOutlivesProducerArenaAndStaysPatchable) {
+  // The cache copies an entry into an arena of its own, so the entry stays
+  // valid (and patchable) after the operator that assembled the object,
+  // and with it the operator's arena, is gone.
+  ChainTemplate ct;
+  Oid leaf = Put(3, {30}, {}, 2);
+  Oid mid = Put(2, {20}, {leaf}, 1);
+  Oid root = Put(1, {10}, {mid}, 0);
+
+  ObjectCache cache;
+  std::weak_ptr<ObjectArena> producer_arena;
+  {
+    std::vector<exec::Row> rows = {{exec::Value::Ref(root)}};
+    AssemblyOperator op(std::make_unique<exec::VectorScan>(std::move(rows)),
+                        &ct.tmpl, &store_);
+    auto out = exec::DrainAll(&op);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    ASSERT_EQ(out->size(), 1u);
+    const AssembledObject* assembled = (*out)[0][0].AsObject();
+    cache.Insert(&ct.tmpl, *assembled, store_);
+    producer_arena = op.arena();
+  }
+  ASSERT_TRUE(producer_arena.expired());
+
+  ObjectCache::Ref ref = cache.Lookup(&ct.tmpl, root);
+  ASSERT_TRUE(ref);
+  EXPECT_EQ(ref.object->oid, root);
+  ASSERT_EQ(ref.object->children.size(), 1u);
+  ASSERT_NE(ref.object->children[0], nullptr);
+  EXPECT_EQ(ref.object->children[0]->oid, mid);
+  EXPECT_EQ(ref.object->child_slots[0], 0);
+  EXPECT_EQ(SumField(ref.object, 0), 10 + 20 + 30);
+  cache.Release(ref);
+
+  ObjectData after;
+  after.oid = leaf;
+  after.type_id = 3;
+  after.fields = {77};
+  WriteEffect effect =
+      cache.ApplyCommittedWrite({{PageOf(leaf), /*patch=*/true, after}});
+  EXPECT_EQ(effect.patched, 1u);
+  ref = cache.Lookup(&ct.tmpl, root);
+  ASSERT_TRUE(ref);
+  EXPECT_EQ(SumField(ref.object, 0), 10 + 20 + 77);
+  cache.Release(ref);
+}
+
+TEST_F(CacheTest, ReshapedPatchInvalidatesInsteadOfWriting) {
+  // Cached fields live in fixed-size spans: an after-image with a different
+  // field count is not written into them; the entry is invalidated.
+  ChainTemplate ct;
+  Oid leaf = Put(3, {30}, {}, 2);
+  Oid mid = Put(2, {20}, {leaf}, 1);
+  Oid root = Put(1, {10}, {mid}, 0);
+
+  ObjectCache cache;
+  Run(&cache, &ct.tmpl, {root});
+  ASSERT_EQ(cache.resident_entries(), 1u);
+
+  ObjectData after;
+  after.oid = leaf;
+  after.type_id = 3;
+  after.fields = {99, 100};
+  WriteEffect effect =
+      cache.ApplyCommittedWrite({{PageOf(leaf), /*patch=*/true, after}});
+  EXPECT_EQ(effect.patched, 0u);
+  EXPECT_EQ(effect.invalidated, 1u);
+  EXPECT_EQ(cache.resident_entries(), 0u);
+  EXPECT_FALSE(cache.Lookup(&ct.tmpl, root));
 }
 
 TEST_F(CacheTest, PredicatedTemplateInvalidatesInsteadOfPatching) {

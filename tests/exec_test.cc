@@ -147,11 +147,11 @@ TEST(ExprTest, BooleanShortCircuit) {
 
 TEST(ExprTest, ObjFieldAndChild) {
   ObjectArena arena;
-  AssembledObject* root = arena.New();
-  AssembledObject* child = arena.New();
-  root->fields = {5, 6};
-  child->fields = {70};
-  root->children = {child, nullptr};
+  AssembledObject* root = arena.New(1, kAnyTypeId, std::vector<int32_t>{5, 6},
+                                    /*child_count=*/2);
+  AssembledObject* child =
+      arena.New(2, kAnyTypeId, std::vector<int32_t>{70}, /*child_count=*/0);
+  root->children[0] = child;  // children[1] stays null
   Row row = {Value::Obj(root)};
   EXPECT_EQ(ObjField(Col(0), 1)->Eval(row)->AsInt(), 6);
   EXPECT_EQ(ObjField(ObjChild(Col(0), 0), 0)->Eval(row)->AsInt(), 70);

@@ -1,7 +1,9 @@
 // The allocation-lean fetch path's replaced pieces, each checked against the
 // straightforward structure it replaced:
 //
-//   * sliced CRC32C against RFC 3720 known answers and a bytewise reference;
+//   * CRC32C, both the dispatched entry point (the SSE4.2 instruction where
+//     the CPU has it) and the portable slicing-by-8 path, against RFC 3720
+//     known answers and a bytewise reference;
 //   * the intrusive LruPolicy against a std::list recency model;
 //   * the pool-allocated ElevatorScheduler against a plain std::multimap
 //     elevator, which fixes its fetch order and tie-breaking;
@@ -21,6 +23,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "assembly/scheduler.h"
@@ -49,10 +52,6 @@ std::vector<std::byte> Bytes(std::initializer_list<int> values) {
   return out;
 }
 
-uint32_t CrcOf(const std::vector<std::byte>& bytes) {
-  return Crc32c(bytes.data(), bytes.size());
-}
-
 // The classic byte-at-a-time CRC32C the sliced version must reproduce.
 uint32_t BytewiseCrc32c(const std::byte* data, size_t n) {
   static const std::array<uint32_t, 256> table = [] {
@@ -73,6 +72,15 @@ uint32_t BytewiseCrc32c(const std::byte* data, size_t n) {
   return crc ^ 0xFFFFFFFFu;
 }
 
+// The implementations under test, each checked against the bytewise
+// reference: the dispatched entry point and the portable path.
+struct Crc32cImpl {
+  const char* name;
+  uint32_t (*fn)(const std::byte*, size_t);
+};
+constexpr Crc32cImpl kCrc32cImpls[] = {{"Crc32c", Crc32c},
+                                       {"Crc32cPortable", Crc32cPortable}};
+
 TEST(Crc32cTest, Rfc3720KnownAnswers) {
   // RFC 3720, appendix B.4.
   std::vector<std::byte> zeros(32, std::byte{0x00});
@@ -83,14 +91,25 @@ TEST(Crc32cTest, Rfc3720KnownAnswers) {
     ascending[i] = static_cast<std::byte>(i);
     descending[i] = static_cast<std::byte>(31 - i);
   }
-  EXPECT_EQ(CrcOf(zeros), 0x8A9136AAu);
-  EXPECT_EQ(CrcOf(ones), 0x62A8AB43u);
-  EXPECT_EQ(CrcOf(ascending), 0x46DD794Eu);
-  EXPECT_EQ(CrcOf(descending), 0x113FDB5Cu);
   // The customary check value of the Castagnoli CRC.
-  EXPECT_EQ(CrcOf(Bytes({'1', '2', '3', '4', '5', '6', '7', '8', '9'})),
-            0xE3069283u);
-  EXPECT_EQ(Crc32c(nullptr, 0), 0u);
+  std::vector<std::byte> digits =
+      Bytes({'1', '2', '3', '4', '5', '6', '7', '8', '9'});
+  const std::vector<std::pair<const std::vector<std::byte>*, uint32_t>>
+      answers = {{&zeros, 0x8A9136AAu},
+                 {&ones, 0x62A8AB43u},
+                 {&ascending, 0x46DD794Eu},
+                 {&descending, 0x113FDB5Cu},
+                 {&digits, 0xE3069283u}};
+  for (const auto& [bytes, expected] : answers) {
+    EXPECT_EQ(BytewiseCrc32c(bytes->data(), bytes->size()), expected);
+  }
+  for (const Crc32cImpl& impl : kCrc32cImpls) {
+    SCOPED_TRACE(impl.name);
+    for (const auto& [bytes, expected] : answers) {
+      EXPECT_EQ(impl.fn(bytes->data(), bytes->size()), expected);
+    }
+    EXPECT_EQ(impl.fn(nullptr, 0), 0u);
+  }
 }
 
 class Crc32cSweepTest : public ::testing::TestWithParam<uint64_t> {};
@@ -108,8 +127,11 @@ TEST_P(Crc32cSweepTest, SlicedMatchesBytewiseAtEveryLengthAndOffset) {
   for (size_t offset = 0; offset < kOffsets; ++offset) {
     for (size_t length = 0; length <= kMaxLength; ++length) {
       const std::byte* data = buffer.data() + offset;
-      ASSERT_EQ(Crc32c(data, length), BytewiseCrc32c(data, length))
-          << "offset " << offset << " length " << length;
+      const uint32_t expected = BytewiseCrc32c(data, length);
+      for (const Crc32cImpl& impl : kCrc32cImpls) {
+        ASSERT_EQ(impl.fn(data, length), expected)
+            << impl.name << " offset " << offset << " length " << length;
+      }
     }
   }
 }

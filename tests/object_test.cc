@@ -230,41 +230,95 @@ TEST(ObjectArenaTest, NewFromCopiesScalarsAndSizesChildren) {
   AssembledObject* obj = arena.NewFrom(data, 3);
   EXPECT_EQ(obj->oid, 11u);
   EXPECT_EQ(obj->type_id, 3u);
-  EXPECT_EQ(obj->fields, data.fields);
+  EXPECT_EQ(std::vector<int32_t>(obj->fields.begin(), obj->fields.end()),
+            data.fields);
+  EXPECT_NE(obj->fields.data(), data.fields.data());  // a copy
   EXPECT_EQ(obj->children.size(), 3u);
   EXPECT_EQ(obj->children[0], nullptr);
   EXPECT_EQ(arena.size(), 1u);
 }
 
+TEST(ObjectArenaTest, SizedNewStartsUnlinked) {
+  // Spans are sized to the template's child count; every child starts null
+  // and every slot at -1 until assembly links it.
+  ObjectArena arena;
+  const std::vector<int32_t> fields = {4, -5, 6};
+  for (size_t child_count : {0u, 1u, 2u, 7u}) {
+    AssembledObject* obj = arena.New(9, 2, fields, child_count);
+    EXPECT_EQ(obj->oid, 9u);
+    EXPECT_EQ(obj->type_id, 2u);
+    EXPECT_EQ(obj->ref_count, 0);
+    EXPECT_EQ(std::vector<int32_t>(obj->fields.begin(), obj->fields.end()),
+              fields);
+    ASSERT_EQ(obj->children.size(), child_count);
+    ASSERT_EQ(obj->child_slots.size(), child_count);
+    for (size_t i = 0; i < child_count; ++i) {
+      EXPECT_EQ(obj->children[i], nullptr);
+      EXPECT_EQ(obj->child_slots[i], -1);
+    }
+  }
+  AssembledObject* bare = arena.New(10, kAnyTypeId, {}, 0);
+  EXPECT_TRUE(bare->fields.empty());
+  EXPECT_EQ(arena.size(), 5u);
+}
+
 TEST(ObjectArenaTest, AddressesStableAcrossGrowth) {
   ObjectArena arena;
-  AssembledObject* first = arena.New();
-  first->oid = 1;
+  AssembledObject* first =
+      arena.New(1, 7, std::vector<int32_t>{1, 2, 3}, /*child_count=*/2);
+  AssembledObject* second = arena.New(2, 7, {}, 0);
+  first->children[1] = second;
+  first->child_slots[1] = 5;
+  const int32_t* first_fields = first->fields.data();
   for (int i = 0; i < 10000; ++i) {
-    arena.New();
+    arena.New(static_cast<Oid>(i + 3), 7, std::vector<int32_t>{i}, 1);
   }
-  EXPECT_EQ(first->oid, 1u);  // no relocation
-  EXPECT_EQ(arena.size(), 10001u);
+  // No relocation: the node, its spans and what they hold are untouched by
+  // the blocks added since.
+  EXPECT_EQ(first->oid, 1u);
+  EXPECT_EQ(first->fields.data(), first_fields);
+  EXPECT_EQ(std::vector<int32_t>(first->fields.begin(), first->fields.end()),
+            (std::vector<int32_t>{1, 2, 3}));
+  EXPECT_EQ(first->children[0], nullptr);
+  EXPECT_EQ(first->children[1], second);
+  EXPECT_EQ(first->child_slots[0], -1);
+  EXPECT_EQ(first->child_slots[1], 5);
+  EXPECT_EQ(arena.size(), 10002u);
+}
+
+TEST(ObjectArenaTest, BlocksStartSmallAndGrow) {
+  ObjectArena arena;
+  arena.New(1, 1, std::vector<int32_t>{1, 2, 3, 4}, 2);
+  const size_t first_block = arena.bytes_reserved();
+  EXPECT_GT(first_block, 0u);
+  EXPECT_LE(first_block, 1024u);  // a one-object arena stays small
+  // A pass-sized arena grows by doubling, so blocks stay a small share of
+  // the nodes' own bytes.
+  for (int i = 0; i < 20000; ++i) {
+    arena.New(static_cast<Oid>(i + 2), 1, std::vector<int32_t>{1, 2, 3, 4}, 2);
+  }
+  EXPECT_LT(arena.bytes_reserved(), 20001u * 200u);
+  // A node bigger than any block gets a block of its own, intact.
+  std::vector<int32_t> wide(100'000);
+  for (size_t i = 0; i < wide.size(); ++i) wide[i] = static_cast<int32_t>(i);
+  AssembledObject* big = arena.New(99, 1, wide, 3);
+  EXPECT_EQ(std::vector<int32_t>(big->fields.begin(), big->fields.end()), wide);
+  EXPECT_EQ(big->children.size(), 3u);
+  EXPECT_EQ(big->child_slots[2], -1);
 }
 
 TEST(AssembledTraversalTest, VisitCountAndSharing) {
   ObjectArena arena;
   // Diamond: root -> {a, b}, both -> shared leaf.
-  AssembledObject* root = arena.New();
-  AssembledObject* a = arena.New();
-  AssembledObject* b = arena.New();
-  AssembledObject* leaf = arena.New();
-  root->oid = 1;
-  a->oid = 2;
-  b->oid = 3;
-  leaf->oid = 4;
-  leaf->fields = {100};
-  a->fields = {10};
-  b->fields = {20};
-  root->fields = {1};
-  root->children = {a, b};
-  a->children = {leaf};
-  b->children = {leaf};
+  AssembledObject* root = arena.New(1, kAnyTypeId, std::vector<int32_t>{1}, 2);
+  AssembledObject* a = arena.New(2, kAnyTypeId, std::vector<int32_t>{10}, 1);
+  AssembledObject* b = arena.New(3, kAnyTypeId, std::vector<int32_t>{20}, 1);
+  AssembledObject* leaf =
+      arena.New(4, kAnyTypeId, std::vector<int32_t>{100}, 0);
+  root->children[0] = a;
+  root->children[1] = b;
+  a->children[0] = leaf;
+  b->children[0] = leaf;
   EXPECT_EQ(CountAssembled(root), 4u);  // leaf counted once
   auto oids = CollectOids(root);
   EXPECT_EQ(oids.size(), 4u);
@@ -275,12 +329,9 @@ TEST(AssembledTraversalTest, VisitCountAndSharing) {
 
 TEST(AssembledTraversalTest, FindByType) {
   ObjectArena arena;
-  AssembledObject* root = arena.New();
-  AssembledObject* child = arena.New();
-  root->type_id = 1;
-  child->type_id = 2;
-  child->oid = 9;
-  root->children = {child};
+  AssembledObject* root = arena.New(kInvalidOid, 1, {}, 1);
+  AssembledObject* child = arena.New(9, 2, {}, 0);
+  root->children[0] = child;
   EXPECT_EQ(FindByType(root, 2), child);
   EXPECT_EQ(FindByType(root, 99), nullptr);
 }
@@ -288,8 +339,7 @@ TEST(AssembledTraversalTest, FindByType) {
 TEST(AssembledTraversalTest, NullSafe) {
   EXPECT_EQ(CountAssembled(nullptr), 0u);
   ObjectArena arena;
-  AssembledObject* root = arena.New();
-  root->children = {nullptr, nullptr};
+  AssembledObject* root = arena.New(kInvalidOid, kAnyTypeId, {}, 2);
   EXPECT_EQ(CountAssembled(root), 1u);
 }
 

@@ -60,7 +60,7 @@ void SumInto(obs::QueryIoSnapshot* total, const obs::QueryIoSnapshot& io) {
 std::map<Oid, std::vector<int32_t>> FieldsByOid(const AssembledObject* root) {
   std::map<Oid, std::vector<int32_t>> out;
   VisitAssembled(root, [&](const AssembledObject& node) {
-    out[node.oid] = node.fields;
+    out[node.oid].assign(node.fields.begin(), node.fields.end());
   });
   return out;
 }

@@ -275,7 +275,8 @@ std::map<Oid, std::vector<int32_t>> AssembleAll(AcobDatabase* db,
     for (size_t i = 0; i < *n; ++i) {
       VisitAssembled(batch[i][0].AsObject(),
                      [&](const AssembledObject& node) {
-                       delivered[node.oid] = node.fields;
+                       delivered[node.oid].assign(node.fields.begin(),
+                                                  node.fields.end());
                      });
     }
   }
