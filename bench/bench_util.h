@@ -20,6 +20,7 @@
 #include "obs/telemetry.h"
 #include "stats/histogram.h"
 #include "stats/metrics.h"
+#include "storage/disk_array.h"
 #include "wal/wal.h"
 #include "workload/acob.h"
 
@@ -108,8 +109,8 @@ struct BatchFlags {
 };
 
 // Vectored-I/O batch size: --io-batch N (or --io-batch=N).  Sets
-// AssemblyOptions::io_batch_pages; 1 (the default) preserves the historical
-// single-page read path bit-for-bit.
+// AssemblyOptions::io_batch_pages; 1 (the default) is the single-page read
+// path.
 struct IoBatchFlags {
   size_t io_batch = 1;
 
@@ -133,20 +134,15 @@ struct IoBatchFlags {
   void Apply(AssemblyOptions* options) const {
     options->io_batch_pages = io_batch;
   }
-  // JSON extra recording the swept parameter; only emitted when it differs
-  // from the default so --io-batch 1 output stays bit-identical to seed.
+  // Records the swept parameter in a run object.
   void Annotate(obs::JsonValue* extra) const {
-    if (io_batch != 1 && extra->is_object()) {
-      extra->Set("io_batch", static_cast<uint64_t>(io_batch));
-    }
+    extra->Set("io_batch", static_cast<uint64_t>(io_batch));
   }
 };
 
 // Disk-array geometry: --spindles N (or --spindles=N) and --stripe-width W.
 // The defaults (1 spindle, stripe width 1) are the degenerate geometry that
-// reproduces the paper's single-arm device bit-for-bit; CI diffs exactly
-// that.  Annotate() only marks the JSON when the geometry is non-default,
-// so single-spindle output stays byte-identical to seed.
+// reproduces the paper's single-arm device; CI checks exactly that.
 struct SpindleFlags {
   uint32_t spindles = 1;
   uint32_t stripe_width = 1;
@@ -182,12 +178,8 @@ struct SpindleFlags {
   // "spindles" is the per-spindle stats array in run objects, so the swept
   // geometry annotates as num_spindles/stripe_width.
   void Annotate(obs::JsonValue* extra) const {
-    if (extra->is_object() && !single_spindle()) {
-      extra->Set("num_spindles", static_cast<uint64_t>(spindles));
-      if (stripe_width != 1) {
-        extra->Set("stripe_width", static_cast<uint64_t>(stripe_width));
-      }
-    }
+    extra->Set("num_spindles", static_cast<uint64_t>(spindles));
+    extra->Set("stripe_width", static_cast<uint64_t>(stripe_width));
   }
 };
 
@@ -252,9 +244,9 @@ struct WalFlags {
 };
 
 // Assembled-object cache: --object-cache off|2q|arc|lru|clock (default off,
-// the exact historical read path) and --cache-capacity N (entries).  With
-// the cache off nothing is even constructed — CI diffs `--object-cache off`
-// output against the pre-cache goldens byte for byte.
+// the uncached read path) and --cache-capacity N (entries).  With the cache
+// off nothing is even constructed — CI checks `--object-cache off` output
+// against the goldens.
 struct CacheFlags {
   cache::CachePolicyKind policy = cache::CachePolicyKind::kOff;
   size_t capacity = 4096;
@@ -302,15 +294,17 @@ struct CacheFlags {
     return std::make_unique<cache::ObjectCache>(options);
   }
 
-  // Only marks the JSON when a cache ran, like the other swept parameters.
   void Annotate(obs::JsonValue* extra) const {
-    if (enabled() && extra->is_object()) {
-      extra->Set("object_cache",
-                 std::string(cache::CachePolicyKindName(policy)));
-      extra->Set("cache_capacity", static_cast<uint64_t>(capacity));
-    }
+    extra->Set("object_cache", std::string(cache::CachePolicyKindName(policy)));
+    extra->Set("cache_capacity", static_cast<uint64_t>(capacity));
   }
 };
+
+inline obs::JsonValue SpindlesToJson(const std::vector<DiskStats>& spindles) {
+  obs::JsonValue out = obs::JsonValue::MakeArray();
+  for (const DiskStats& stats : spindles) out.Append(obs::ToJson(stats));
+  return out;
+}
 
 struct RunResult {
   DiskStats disk;
@@ -321,13 +315,10 @@ struct RunResult {
   size_t refetched_pages = 0;  // faults on pages already faulted before
   SeekHistogram read_seeks;    // seek-distance distribution (read trace)
   obs::JsonValue registry;     // telemetry registry snapshot
-  // Per-spindle breakdown; empty on the single-spindle geometry so the
-  // default JSON stays bit-identical to seed.  Fields sum to `disk`.
+  // Per-spindle breakdown, one entry per spindle; fields sum to `disk`.
   std::vector<DiskStats> spindle_disk;
-  // Assembled-object cache outcomes; `cached` stays false on the off path
-  // so the JSON keeps its historical shape.
-  bool cached = false;
-  std::string cache_policy;
+  // Assembled-object cache outcomes (all zero with the cache off).
+  std::string cache_policy = "off";
   cache::CacheStats cache;
 
   double avg_seek() const { return disk.AvgSeekPerRead(); }
@@ -345,70 +336,13 @@ struct RunResult {
     obs::JsonValue out = obs::ToJson(metrics);
     out.Set("refetched_pages", refetched_pages);
     if (fault_injection) out.Set("faults", obs::ToJson(faults));
-    if (!spindle_disk.empty()) {
-      obs::JsonValue spindles = obs::JsonValue::MakeArray();
-      for (const DiskStats& stats : spindle_disk) {
-        spindles.Append(obs::ToJson(stats));
-      }
-      out.Set("spindles", std::move(spindles));
-    }
-    if (cached) {
-      obs::JsonValue c = obs::JsonValue::MakeObject();
-      c.Set("policy", cache_policy);
-      c.Set("hits", cache.hits);
-      c.Set("misses", cache.misses);
-      c.Set("insertions", cache.insertions);
-      c.Set("evictions", cache.evictions);
-      c.Set("invalidations", cache.invalidations);
-      c.Set("patches", cache.patches);
-      c.Set("shared_reuses", cache.shared_reuses);
-      out.Set("cache", std::move(c));
-    }
-    if (!registry.is_null()) out.Set("registry", registry);
+    out.Set("spindles", SpindlesToJson(spindle_disk));
+    obs::JsonValue c = obs::ToJson(cache);
+    c.Set("policy", cache_policy);
+    out.Set("cache", std::move(c));
+    out.Set("registry", registry);
     return out;
   }
-};
-
-// Fans disk events out to two listeners — the registry publisher plus an
-// extra consumer (e.g. the re-clustering affinity learner).  Only the
-// spindle-carrying forms matter (the disk calls only those); the plain
-// forms forward too for listeners driven by hand.
-class TeeDiskListener : public DiskEventListener {
- public:
-  TeeDiskListener(DiskEventListener* a, DiskEventListener* b) : a_(a), b_(b) {}
-  void OnDiskRead(PageId p, uint64_t s) override {
-    a_->OnDiskRead(p, s);
-    b_->OnDiskRead(p, s);
-  }
-  void OnDiskWrite(PageId p, uint64_t s) override {
-    a_->OnDiskWrite(p, s);
-    b_->OnDiskWrite(p, s);
-  }
-  void OnDiskReadRun(PageId first, size_t pages, uint64_t s) override {
-    a_->OnDiskReadRun(first, pages, s);
-    b_->OnDiskReadRun(first, pages, s);
-  }
-  void OnDiskReadAt(uint32_t sp, PageId p, uint64_t s) override {
-    a_->OnDiskReadAt(sp, p, s);
-    b_->OnDiskReadAt(sp, p, s);
-  }
-  void OnDiskWriteAt(uint32_t sp, PageId p, uint64_t s) override {
-    a_->OnDiskWriteAt(sp, p, s);
-    b_->OnDiskWriteAt(sp, p, s);
-  }
-  void OnDiskReadRunAt(uint32_t sp, PageId first, size_t pages,
-                       uint64_t s) override {
-    a_->OnDiskReadRunAt(sp, first, pages, s);
-    b_->OnDiskReadRunAt(sp, first, pages, s);
-  }
-  void OnDiskFault(PageId p, FaultKind kind) override {
-    a_->OnDiskFault(p, kind);
-    b_->OnDiskFault(p, kind);
-  }
-
- private:
-  DiskEventListener* a_;
-  DiskEventListener* b_;
 };
 
 // Cold-restarts `db`, assembles every root with `options`, and returns the
@@ -417,7 +351,7 @@ class TeeDiskListener : public DiskEventListener {
 // seek-distance histogram) and publishes into a fresh telemetry registry.
 // `extra_disk_listener`, when set, sees every disk event alongside the
 // publisher (bench/recluster_convergence.cc feeds its affinity sketch
-// this way); null keeps the historical single-listener path.
+// this way).
 inline RunResult RunAssembly(
     AcobDatabase* db, AssemblyOptions options,
     size_t batch_size = exec::RowBatch::kDefaultCapacity,
@@ -439,11 +373,11 @@ inline RunResult RunAssembly(
   if (cache_flags != nullptr) object_cache = cache_flags->MakeCache();
   obs::Registry registry;
   obs::RegistryPublisher publisher(&registry);
-  TeeDiskListener tee(&publisher, extra_disk_listener);
+  obs::TelemetryHub hub;
+  hub.Add(&publisher);
+  if (extra_disk_listener != nullptr) hub.AddDiskListener(extra_disk_listener);
   db->disk->EnableReadTrace(true);
-  db->disk->set_listener(extra_disk_listener != nullptr
-                             ? static_cast<DiskEventListener*>(&tee)
-                             : &publisher);
+  db->disk->set_listener(&hub);
   db->buffer->set_listener(&publisher);
   RunResult result;
   if (object_cache != nullptr) {
@@ -456,7 +390,6 @@ inline RunResult RunAssembly(
       std::exit(1);
     }
     result.assembly = assembled.assembly;
-    result.cached = true;
     result.cache_policy = object_cache->policy_name();
     result.cache = object_cache->stats();
   } else {
@@ -492,13 +425,10 @@ inline RunResult RunAssembly(
     // Arms move independently; the charged per-read distances — not
     // consecutive-page deltas — are the real seek distribution.
     result.read_seeks = SeekHistogram::FromDistances(db->disk->seek_trace());
-    result.spindle_disk.reserve(db->disk->num_spindles());
-    for (uint32_t s = 0; s < db->disk->num_spindles(); ++s) {
-      result.spindle_disk.push_back(db->disk->spindle_stats(s));
-    }
   } else {
     result.read_seeks = SeekHistogram::FromReadTrace(db->disk->read_trace());
   }
+  result.spindle_disk = SpindleStats(*db->disk);
   result.registry = registry.ToJson();
   // The publisher is stack-local; detach before it goes out of scope (the
   // database outlives this run).

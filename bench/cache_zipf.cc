@@ -128,11 +128,10 @@ struct PolicyRun {
   uint64_t rows = 0;
   uint64_t elapsed_ns = 0;
   double rows_per_sec = 0.0;
-  bool cached = false;
   cache::CacheStats cache;
   DiskStats disk;
   BufferStats buffer;
-  // Per-spindle breakdown; empty on the single-spindle geometry.
+  // Per-spindle breakdown, one entry per spindle.
   std::vector<DiskStats> spindle_disk;
 
   double hit_rate() const {
@@ -223,18 +222,10 @@ PolicyRun RunPolicy(AcobDatabase* db, const Flags& flags,
                          ? 0.0
                          : static_cast<double>(run.rows) * 1e9 /
                                static_cast<double>(run.elapsed_ns);
-  if (object_cache != nullptr) {
-    run.cached = true;
-    run.cache = object_cache->stats();
-  }
+  if (object_cache != nullptr) run.cache = object_cache->stats();
   run.disk = db->disk->stats();
   run.buffer = pool.stats();
-  if (db->disk->num_spindles() > 1) {
-    run.spindle_disk.reserve(db->disk->num_spindles());
-    for (uint32_t s = 0; s < db->disk->num_spindles(); ++s) {
-      run.spindle_disk.push_back(db->disk->spindle_stats(s));
-    }
-  }
+  run.spindle_disk = SpindleStats(*db->disk);
   return run;
 }
 
@@ -274,14 +265,9 @@ int main(int argc, char** argv) {
   reporter.Set("buffer_frames", flags.buffer_frames);
   reporter.Set("cache_capacity", cache_flags.capacity);
   reporter.Set("seed", flags.seed);
-  if (flags.scan_every > 0) reporter.Set("scan_every", flags.scan_every);
-  if (!spindle.single_spindle()) {
-    reporter.Set("num_spindles", static_cast<uint64_t>(spindle.spindles));
-    if (spindle.stripe_width != 1) {
-      reporter.Set("stripe_width",
-                   static_cast<uint64_t>(spindle.stripe_width));
-    }
-  }
+  reporter.Set("scan_every", flags.scan_every);
+  reporter.Set("num_spindles", static_cast<uint64_t>(spindle.spindles));
+  reporter.Set("stripe_width", static_cast<uint64_t>(spindle.stripe_width));
 
   std::printf("Zipfian cache bench — %zu clients x %zu queries x %zu roots, "
               "theta=%.2f, N=%zu, %zu frames\n\n",
@@ -293,14 +279,13 @@ int main(int argc, char** argv) {
   double off_rows_per_sec = 0.0;
   for (cache::CachePolicyKind policy : policies) {
     PolicyRun run = RunPolicy(db.get(), flags, policy, cache_flags.capacity);
-    if (policy == cache::CachePolicyKind::kOff) {
-      off_rows_per_sec = run.rows_per_sec;
-    }
+    const bool cached = policy != cache::CachePolicyKind::kOff;
+    if (!cached) off_rows_per_sec = run.rows_per_sec;
     table.AddRow({run.label, FmtInt(run.rows), Fmt(run.rows_per_sec),
-                  run.cached ? Fmt(run.hit_rate()) : "-",
-                  run.cached ? FmtInt(run.cache.hits) : "-",
-                  run.cached ? FmtInt(run.cache.misses) : "-",
-                  run.cached ? FmtInt(run.cache.evictions) : "-",
+                  cached ? Fmt(run.hit_rate()) : "-",
+                  cached ? FmtInt(run.cache.hits) : "-",
+                  cached ? FmtInt(run.cache.misses) : "-",
+                  cached ? FmtInt(run.cache.evictions) : "-",
                   FmtInt(run.disk.reads)});
     obs::JsonValue out = obs::JsonValue::MakeObject();
     out.Set("label", run.label);
@@ -313,22 +298,9 @@ int main(int argc, char** argv) {
     }
     out.Set("disk_reads", run.disk.reads);
     out.Set("buffer_faults", run.buffer.faults);
-    if (run.cached) {
-      out.Set("hits", run.cache.hits);
-      out.Set("misses", run.cache.misses);
-      out.Set("hit_rate", run.hit_rate());
-      out.Set("insertions", run.cache.insertions);
-      out.Set("evictions", run.cache.evictions);
-      out.Set("invalidations", run.cache.invalidations);
-      out.Set("shared_reuses", run.cache.shared_reuses);
-    }
-    if (!run.spindle_disk.empty()) {
-      obs::JsonValue spindles = obs::JsonValue::MakeArray();
-      for (const DiskStats& stats : run.spindle_disk) {
-        spindles.Append(obs::ToJson(stats));
-      }
-      out.Set("spindles", std::move(spindles));
-    }
+    out.Set("hit_rate", run.hit_rate());
+    out.Set("cache", obs::ToJson(run.cache));
+    out.Set("spindles", SpindlesToJson(run.spindle_disk));
     reporter.AddRaw(std::move(out));
   }
   table.Print(std::cout);

@@ -155,12 +155,10 @@ struct MergedRun {
   LogHistogram latency_io;
   LogHistogram latency_cpu;
   size_t registry_size = 0;
-  // Per-spindle breakdown; empty on the single-spindle geometry.
+  // Per-spindle breakdown, one entry per spindle.
   std::vector<DiskStats> spindle_disk;
-  // Assembled-object cache outcomes (cached == false on the off path, and
-  // the JSON keeps its historical shape).
-  bool cached = false;
-  std::string cache_policy;
+  // Assembled-object cache outcomes (all zero with the cache off).
+  std::string cache_policy = "off";
   cache::CacheStats cache;
 };
 
@@ -266,6 +264,8 @@ MergedRun RunMerged(AcobDatabase* db, const Flags& flags,
         counter("service.attributed.checksum_failures");
     run.attributed.faults_injected =
         counter("service.attributed.faults_injected");
+    run.attributed.cache_hits = counter("cache.hits");
+    run.attributed.cache_misses = counter("cache.misses");
     auto histogram = [&](const std::string& name) -> LogHistogram {
       const obs::Histogram* h = service.registry().FindHistogram(name);
       return h == nullptr ? LogHistogram() : *h;
@@ -304,7 +304,6 @@ MergedRun RunMerged(AcobDatabase* db, const Flags& flags,
           .count());
   run.async = async.async_stats();
   if (object_cache != nullptr) {
-    run.cached = true;
     run.cache_policy = object_cache->policy_name();
     run.cache = object_cache->stats();
   }
@@ -312,14 +311,12 @@ MergedRun RunMerged(AcobDatabase* db, const Flags& flags,
   run.metrics.buffer = pool.stats();
   run.refetched_pages = static_cast<size_t>(run.metrics.buffer.faults -
                                             pool.unique_pages_faulted());
+  run.spindle_disk = SpindleStats(*db->disk);
   if (db->disk->num_spindles() > 1) {
     // Independent arms: histogram the charged per-read distances, not
     // consecutive trace deltas (those mix spindles).
     run.metrics.read_seeks =
         SeekHistogram::FromDistances(db->disk->seek_trace());
-    for (uint32_t s = 0; s < db->disk->num_spindles(); ++s) {
-      run.spindle_disk.push_back(db->disk->spindle_stats(s));
-    }
   } else {
     run.metrics.read_seeks =
         SeekHistogram::FromReadTrace(db->disk->read_trace());
@@ -364,6 +361,8 @@ RunMetrics RunIndependent(AcobDatabase* db, const Flags& flags,
     total.disk.writes += disk.writes;
     total.disk.read_seek_pages += disk.read_seek_pages;
     total.disk.write_seek_pages += disk.write_seek_pages;
+    total.disk.pages_read += disk.pages_read;
+    total.disk.coalesced_runs += disk.coalesced_runs;
     BufferStats buffer = db->buffer->stats();
     total.buffer.hits += buffer.hits;
     total.buffer.faults += buffer.faults;
@@ -421,37 +420,35 @@ bool CheckConservation(const MergedRun& run, const char* clustering) {
   // Spindle-dimension conservation: the per-spindle breakdown must sum
   // exactly to the globals — a read charged to no spindle (or to two)
   // would silently corrupt the array accounting.
-  if (!run.spindle_disk.empty()) {
-    DiskStats sum;
-    for (const DiskStats& s : run.spindle_disk) {
-      sum.reads += s.reads;
-      sum.writes += s.writes;
-      sum.read_seek_pages += s.read_seek_pages;
-      sum.write_seek_pages += s.write_seek_pages;
-      sum.pages_read += s.pages_read;
-      sum.coalesced_runs += s.coalesced_runs;
-    }
-    const Pair spindle_pairs[] = {
-        {"spindle reads", run.metrics.disk.reads, sum.reads},
-        {"spindle writes", run.metrics.disk.writes, sum.writes},
-        {"spindle read_seek_pages", run.metrics.disk.read_seek_pages,
-         sum.read_seek_pages},
-        {"spindle write_seek_pages", run.metrics.disk.write_seek_pages,
-         sum.write_seek_pages},
-        {"spindle pages_read", run.metrics.disk.pages_read, sum.pages_read},
-        {"spindle coalesced_runs", run.metrics.disk.coalesced_runs,
-         sum.coalesced_runs},
-    };
-    for (const Pair& pair : spindle_pairs) {
-      if (pair.global != pair.attributed) {
-        std::fprintf(stderr,
-                     "conservation violated (%s): %s global=%llu "
-                     "spindle-sum=%llu\n",
-                     clustering, pair.name,
-                     static_cast<unsigned long long>(pair.global),
-                     static_cast<unsigned long long>(pair.attributed));
-        ok = false;
-      }
+  DiskStats sum;
+  for (const DiskStats& s : run.spindle_disk) {
+    sum.reads += s.reads;
+    sum.writes += s.writes;
+    sum.read_seek_pages += s.read_seek_pages;
+    sum.write_seek_pages += s.write_seek_pages;
+    sum.pages_read += s.pages_read;
+    sum.coalesced_runs += s.coalesced_runs;
+  }
+  const Pair spindle_pairs[] = {
+      {"spindle reads", run.metrics.disk.reads, sum.reads},
+      {"spindle writes", run.metrics.disk.writes, sum.writes},
+      {"spindle read_seek_pages", run.metrics.disk.read_seek_pages,
+       sum.read_seek_pages},
+      {"spindle write_seek_pages", run.metrics.disk.write_seek_pages,
+       sum.write_seek_pages},
+      {"spindle pages_read", run.metrics.disk.pages_read, sum.pages_read},
+      {"spindle coalesced_runs", run.metrics.disk.coalesced_runs,
+       sum.coalesced_runs},
+  };
+  for (const Pair& pair : spindle_pairs) {
+    if (pair.global != pair.attributed) {
+      std::fprintf(stderr,
+                   "conservation violated (%s): %s global=%llu "
+                   "spindle-sum=%llu\n",
+                   clustering, pair.name,
+                   static_cast<unsigned long long>(pair.global),
+                   static_cast<unsigned long long>(pair.attributed));
+      ok = false;
     }
   }
   return ok;
@@ -470,20 +467,12 @@ int main(int argc, char** argv) {
   reporter.Set("workers", flags.workers);
   reporter.Set("shards", flags.shards);
   reporter.Set("prefetch", flags.prefetch);
-  // Only annotate non-default batching so --io-batch 1 output stays
-  // bit-identical to the seed goldens.
-  if (flags.io_batch != 1) reporter.Set("io_batch", flags.io_batch);
-  if (!spindle.single_spindle()) {
-    reporter.Set("spindles", spindle.spindles);
-    if (spindle.stripe_width != 1) {
-      reporter.Set("stripe_width", spindle.stripe_width);
-    }
-  }
-  if (object_cache.enabled()) {
-    reporter.Set("object_cache",
-                 std::string(cache::CachePolicyKindName(object_cache.policy)));
-    reporter.Set("cache_capacity", object_cache.capacity);
-  }
+  reporter.Set("io_batch", flags.io_batch);
+  reporter.Set("spindles", spindle.spindles);
+  reporter.Set("stripe_width", spindle.stripe_width);
+  reporter.Set("object_cache",
+               std::string(cache::CachePolicyKindName(object_cache.policy)));
+  reporter.Set("cache_capacity", object_cache.capacity);
 
   std::printf("Multi-client assembly — %zu client(s), %zu worker(s), "
               "%zu shard(s), window 50, elevator, N=%zu\n\n",
@@ -558,13 +547,12 @@ int main(int argc, char** argv) {
       run.Set("scheduler", "elevator");
       run.Set("num_complex_objects", flags.size);
       run.Set("clients", flags.clients);
-      if (flags.io_batch != 1) run.Set("io_batch", flags.io_batch);
+      run.Set("io_batch", flags.io_batch);
       run.Set("refetched_pages", merged.refetched_pages);
       run.Set("rows", merged.rows);
       run.Set("elapsed_ns", merged.elapsed_ns);
       run.Set("registry_size", merged.registry_size);
-      // Latency decomposition distributions; the `_ns` keys mark every
-      // run-time-dependent summary for the golden comparator.
+      // Latency decomposition distributions (timings: no golden pins them).
       obs::JsonValue latency = obs::JsonValue::MakeObject();
       latency.Set("total_ns", obs::HistogramToJson(merged.latency_total));
       latency.Set("queue_ns", obs::HistogramToJson(merged.latency_queue));
@@ -572,26 +560,11 @@ int main(int argc, char** argv) {
       latency.Set("cpu_ns", obs::HistogramToJson(merged.latency_cpu));
       run.Set("latency", std::move(latency));
       run.Set("attributed", obs::QueryIoSnapshotToJson(merged.attributed));
-      if (merged.cached) {
-        obs::JsonValue c = obs::JsonValue::MakeObject();
-        c.Set("policy", merged.cache_policy);
-        c.Set("hits", merged.cache.hits);
-        c.Set("misses", merged.cache.misses);
-        c.Set("insertions", merged.cache.insertions);
-        c.Set("evictions", merged.cache.evictions);
-        c.Set("invalidations", merged.cache.invalidations);
-        c.Set("patches", merged.cache.patches);
-        c.Set("shared_reuses", merged.cache.shared_reuses);
-        run.Set("cache", std::move(c));
-      }
-      if (!merged.spindle_disk.empty()) {
-        obs::JsonValue spindles = obs::JsonValue::MakeArray();
-        for (const DiskStats& stats : merged.spindle_disk) {
-          spindles.Append(obs::ToJson(stats));
-        }
-        run.Set("spindles", std::move(spindles));
-      }
-      if (!merged.registry.is_null()) run.Set("registry", merged.registry);
+      obs::JsonValue c = obs::ToJson(merged.cache);
+      c.Set("policy", merged.cache_policy);
+      run.Set("cache", std::move(c));
+      run.Set("spindles", SpindlesToJson(merged.spindle_disk));
+      run.Set("registry", merged.registry);
       reporter.AddRaw(std::move(run));
     }
 

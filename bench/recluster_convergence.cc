@@ -14,7 +14,7 @@
 //
 // `--recluster off` runs the identical workload with no forwarding table,
 // no listener, and no mover — the run then carries the fig13 crosscheck
-// keys so CI can diff it bit-for-bit against the existing golden.
+// keys so CI can check its counts against the existing golden.
 
 #include <ctime>
 #include <cstdio>
@@ -100,7 +100,7 @@ int main(int argc, char** argv) {
 
   if (!flags.recluster_on) {
     // Off path: the exact fig13 configuration, annotated with the fig13
-    // crosscheck keys so `bench_golden.py crosscheck` proves bit-identity.
+    // crosscheck keys so `bench_golden.py crosscheck` proves identical I/O.
     auto db = MustBuild(unclustered);
     RunResult result = RunAssembly(db.get(), aopts);
     std::printf("recluster off: unclustered, elevator, N=%zu\n", flags.size);

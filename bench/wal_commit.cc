@@ -91,7 +91,7 @@ struct CommitRun {
   uint64_t failures = 0;
   wal::WalStats wal;
   DiskStats disk;
-  // Per-spindle breakdown; empty on the single-spindle geometry.
+  // Per-spindle breakdown, one entry per spindle.
   std::vector<DiskStats> spindle_disk;
 
   double commits_per_flush() const {
@@ -191,11 +191,7 @@ CommitRun RunCommitters(size_t threads, size_t txns_per_thread,
   }
   run.wal = wal.stats();
   run.disk = disk.stats();
-  if (disk.num_spindles() > 1) {
-    for (uint32_t s = 0; s < disk.num_spindles(); ++s) {
-      run.spindle_disk.push_back(disk.spindle_stats(s));
-    }
-  }
+  run.spindle_disk = SpindleStats(disk);
   return run;
 }
 
@@ -219,16 +215,7 @@ obs::JsonValue RunToJson(const CommitRun& run) {
   d.Set("writes", run.disk.writes);
   d.Set("write_seek_pages", run.disk.write_seek_pages);
   out.Set("disk", std::move(d));
-  if (!run.spindle_disk.empty()) {
-    obs::JsonValue spindles = obs::JsonValue::MakeArray();
-    for (const DiskStats& stats : run.spindle_disk) {
-      obs::JsonValue s = obs::JsonValue::MakeObject();
-      s.Set("writes", stats.writes);
-      s.Set("write_seek_pages", stats.write_seek_pages);
-      spindles.Append(std::move(s));
-    }
-    out.Set("spindles", std::move(spindles));
-  }
+  out.Set("spindles", SpindlesToJson(run.spindle_disk));
   out.Set("commits_per_flush", run.commits_per_flush());
   return out;
 }
@@ -240,9 +227,7 @@ int main(int argc, char** argv) {
   SpindleFlags spindle = SpindleFlags::Parse(argc, argv);
   JsonReporter reporter("wal_commit", argc, argv);
   reporter.Set("txns_per_thread", static_cast<uint64_t>(flags.txns));
-  if (!spindle.single_spindle()) {
-    reporter.Set("spindles", spindle.spindles);
-  }
+  reporter.Set("spindles", spindle.spindles);
 
   std::printf("Group commit — %zu transactions per thread\n", flags.txns);
   TablePrinter table({"threads", "commits", "flushes", "commits/flush",

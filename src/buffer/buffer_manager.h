@@ -73,13 +73,9 @@ struct BufferStats {
   uint64_t retries_exhausted = 0;
   // Reads rejected because the page checksum did not verify.
   uint64_t checksum_failures = 0;
-  // Transient write failures retried during dirty write-back.  Like
-  // `prefetches`, absent from the JSON exporters: write faults are off by
-  // default and the bench goldens predate the field.
+  // Transient write failures retried during dirty write-back.
   uint64_t write_retries = 0;
-  // Async prefetches submitted (PrefetchPage).  Intentionally absent from
-  // the JSON exporters: prefetching is off by default and the bench goldens
-  // predate the field.
+  // Async prefetches submitted (PrefetchPage).
   uint64_t prefetches = 0;
   // High-water mark of simultaneously pinned frames.
   size_t max_pinned = 0;

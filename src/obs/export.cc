@@ -10,12 +10,8 @@ JsonValue ToJson(const DiskStats& stats) {
   out.Set("write_seek_pages", stats.write_seek_pages);
   out.Set("avg_seek_per_read", stats.AvgSeekPerRead());
   out.Set("avg_seek_per_write", stats.AvgSeekPerWrite());
-  // Vectored-I/O fields appear only once a multi-page run happened, so
-  // single-page workloads keep the historical (golden) field set.
-  if (stats.coalesced_runs > 0) {
-    out.Set("pages_read", stats.pages_read);
-    out.Set("coalesced_runs", stats.coalesced_runs);
-  }
+  out.Set("pages_read", stats.pages_read);
+  out.Set("coalesced_runs", stats.coalesced_runs);
   return out;
 }
 
@@ -28,6 +24,8 @@ JsonValue ToJson(const BufferStats& stats) {
   out.Set("retries", stats.retries);
   out.Set("retries_exhausted", stats.retries_exhausted);
   out.Set("checksum_failures", stats.checksum_failures);
+  out.Set("write_retries", stats.write_retries);
+  out.Set("prefetches", stats.prefetches);
   out.Set("max_pinned", stats.max_pinned);
   out.Set("hit_rate", stats.HitRate());
   return out;
@@ -55,17 +53,9 @@ JsonValue ToJson(const FaultStats& stats) {
   out.Set("bit_flips", stats.bit_flips);
   out.Set("torn_pages", stats.torn_pages);
   out.Set("latency_injections", stats.latency_injections);
-  // Write-side fault kinds postdate the fault-injection goldens, so they
-  // appear only when such a fault actually fired.
-  if (stats.transient_write_failures > 0) {
-    out.Set("transient_write_failures", stats.transient_write_failures);
-  }
-  if (stats.torn_writes > 0) {
-    out.Set("torn_writes", stats.torn_writes);
-  }
-  if (stats.degraded_reads > 0) {
-    out.Set("degraded_reads", stats.degraded_reads);
-  }
+  out.Set("transient_write_failures", stats.transient_write_failures);
+  out.Set("torn_writes", stats.torn_writes);
+  out.Set("degraded_reads", stats.degraded_reads);
   out.Set("total", stats.total());
   return out;
 }
@@ -85,10 +75,8 @@ JsonValue ToJson(const wal::WalStats& stats) {
   out.Set("recovered_records", stats.recovered_records);
   out.Set("recovered_commits", stats.recovered_commits);
   out.Set("discarded_txns", stats.discarded_txns);
-  // Re-clustering counters predate no golden: emitted only when non-zero
-  // so captures without a mover stay bit-identical.
-  if (stats.moves_logged > 0) out.Set("moves_logged", stats.moves_logged);
-  if (stats.redo_moves > 0) out.Set("redo_moves", stats.redo_moves);
+  out.Set("moves_logged", stats.moves_logged);
+  out.Set("redo_moves", stats.redo_moves);
   out.Set("redo_applied", stats.redo_applied);
   out.Set("redo_images", stats.redo_images);
   out.Set("redo_formats", stats.redo_formats);
@@ -97,6 +85,19 @@ JsonValue ToJson(const wal::WalStats& stats) {
   out.Set("redo_deferred", stats.redo_deferred);
   out.Set("pages_repaired", stats.pages_repaired);
   out.Set("torn_tail_events", stats.torn_tail_events);
+  return out;
+}
+
+JsonValue ToJson(const cache::CacheStats& stats) {
+  JsonValue out = JsonValue::MakeObject();
+  out.Set("hits", stats.hits);
+  out.Set("misses", stats.misses);
+  out.Set("insertions", stats.insertions);
+  out.Set("evictions", stats.evictions);
+  out.Set("invalidations", stats.invalidations);
+  out.Set("patches", stats.patches);
+  out.Set("shared_reuses", stats.shared_reuses);
+  out.Set("schema_flushes", stats.schema_flushes);
   return out;
 }
 

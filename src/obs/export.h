@@ -8,6 +8,7 @@
 
 #include "assembly/assembly_operator.h"
 #include "buffer/buffer_manager.h"
+#include "cache/object_cache.h"
 #include "obs/json.h"
 #include "obs/registry.h"
 #include "stats/metrics.h"
@@ -23,6 +24,8 @@ JsonValue ToJson(const AssemblyStats& stats);
 JsonValue ToJson(const FaultStats& stats);
 // Append/flush-path and recovery counters of a WalManager.
 JsonValue ToJson(const wal::WalStats& stats);
+// Assembled-object cache outcomes (the policy name is the caller's).
+JsonValue ToJson(const cache::CacheStats& stats);
 
 // Full run export: label, the three stat structs, derived headline metrics
 // (avg_seek, avg_write_seek) and — when the run recorded a read trace —

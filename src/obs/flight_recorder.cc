@@ -104,13 +104,8 @@ JsonValue QueryIoSnapshotToJson(const QueryIoSnapshot& io) {
   out.Set("retries", io.retries);
   out.Set("checksum_failures", io.checksum_failures);
   out.Set("faults_injected", io.faults_injected);
-  // Lazy, like the cache.* registry instruments: only queries that ran
-  // against an object cache carry the fields, so cache-off output stays
-  // bit-identical to the pre-cache goldens.
-  if (io.cache_hits != 0 || io.cache_misses != 0) {
-    out.Set("cache_hits", io.cache_hits);
-    out.Set("cache_misses", io.cache_misses);
-  }
+  out.Set("cache_hits", io.cache_hits);
+  out.Set("cache_misses", io.cache_misses);
   return out;
 }
 

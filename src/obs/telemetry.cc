@@ -11,6 +11,9 @@ RegistryPublisher::RegistryPublisher(Registry* registry, const Clock* clock)
       disk_writes_(registry->GetCounter("disk.writes")),
       seek_distance_(registry->GetHistogram("disk.seek_distance")),
       write_seek_distance_(registry->GetHistogram("disk.write_seek_distance")),
+      io_coalesced_runs_(registry->GetCounter("io.coalesced_runs")),
+      io_run_length_(registry->GetHistogram("io.run_length")),
+      io_pages_per_read_(registry->GetHistogram("io.pages_per_read")),
       buffer_hits_(registry->GetCounter("buffer.hits")),
       buffer_faults_(registry->GetCounter("buffer.faults")),
       buffer_evictions_(registry->GetCounter("buffer.evictions")),
@@ -30,14 +33,16 @@ RegistryPublisher::RegistryPublisher(Registry* registry, const Clock* clock)
       window_occupancy_dist_(
           registry->GetHistogram("assembly.window_occupancy.dist")),
       pool_size_dist_(registry->GetHistogram("assembly.pool_size.dist")),
-      fetch_latency_ns_(registry->GetHistogram("assembly.fetch_latency_ns")) {
+      fetch_latency_ns_(registry->GetHistogram("assembly.fetch_latency_ns")),
+      wal_flushes_(registry->GetCounter("wal.flushes")),
+      wal_records_(registry->GetCounter("wal.records")),
+      wal_pages_(registry->GetCounter("wal.pages")),
+      wal_bytes_(registry->GetCounter("wal.bytes")),
+      wal_batch_records_(registry->GetHistogram("wal.batch_records")) {
   for (int i = 0; i < kNumFaultKinds; ++i) {
-    // Read-side fault counters bind eagerly (the historical shape); the
-    // write-side kinds appear only once such a fault actually fires.
     disk_faults_[i] =
-        i < 5 ? registry->GetCounter(std::string("disk.faults.") +
-                                     FaultKindName(static_cast<FaultKind>(i)))
-              : nullptr;
+        registry->GetCounter(std::string("disk.faults.") +
+                             FaultKindName(static_cast<FaultKind>(i)));
   }
 }
 
@@ -78,121 +83,65 @@ void RegistryPublisher::OnEvent(const AssemblyEvent& event) {
   last_assembly_ns_ = clock_->NowNanos();
 }
 
-void RegistryPublisher::OnDiskRead(PageId, uint64_t seek_pages) {
-  disk_reads_->Inc();
-  seek_distance_->Add(seek_pages);
-  // Once coalescing has appeared, single-page transfers contribute to the
-  // run-length mix too, so io.pages_per_read reflects the whole read stream.
-  if (io_pages_per_read_ != nullptr) {
-    io_pages_per_read_->Add(1);
-  }
+void RegistryPublisher::OnDiskRead(PageId page, uint64_t seek_pages) {
+  OnDiskReadRunAt(0, page, 1, seek_pages);
 }
 
-void RegistryPublisher::BindRunInstruments() {
-  io_coalesced_runs_ = registry_->GetCounter("io.coalesced_runs");
-  io_run_length_ = registry_->GetHistogram("io.run_length");
-  io_pages_per_read_ = registry_->GetHistogram("io.pages_per_read");
-}
-
-void RegistryPublisher::OnDiskReadRun(PageId, size_t pages,
+void RegistryPublisher::OnDiskReadRun(PageId first_page, size_t pages,
                                       uint64_t seek_pages) {
-  disk_reads_->Inc();
-  seek_distance_->Add(seek_pages);
-  if (pages >= 2) {
-    if (io_coalesced_runs_ == nullptr) {
-      BindRunInstruments();
-    }
-    io_coalesced_runs_->Inc();
-    io_run_length_->Add(static_cast<uint64_t>(pages));
-  }
-  if (io_pages_per_read_ != nullptr) {
-    io_pages_per_read_->Add(static_cast<uint64_t>(pages));
-  }
+  OnDiskReadRunAt(0, first_page, pages, seek_pages);
 }
 
-void RegistryPublisher::OnDiskWrite(PageId, uint64_t seek_pages) {
-  disk_writes_->Inc();
-  write_seek_distance_->Add(seek_pages);
+void RegistryPublisher::OnDiskWrite(PageId page, uint64_t seek_pages) {
+  OnDiskWriteAt(0, page, seek_pages);
 }
 
-void RegistryPublisher::BindSpindleTracking() {
-  spindle_tracking_ = true;
-  // Everything published so far came from spindle 0 (this is the first
-  // event from any other spindle, and it has not been counted yet), so the
-  // global totals ARE spindle 0's history.  Backfilling here keeps the
-  // per-spindle sums equal to the globals from the first sample on.
-  EnsureSpindleSlot(0);
-  spindle_reads_[0]->Inc(disk_reads_->value());
-  spindle_writes_[0]->Inc(disk_writes_->value());
-  spindle_read_seek_[0]->Inc(seek_distance_->total());
-  spindle_write_seek_[0]->Inc(write_seek_distance_->total());
-}
-
-void RegistryPublisher::EnsureSpindleSlot(uint32_t spindle) {
-  if (spindle < spindle_reads_.size()) {
-    return;
+RegistryPublisher::SpindleCounters& RegistryPublisher::Spindle(
+    uint32_t spindle) {
+  if (spindle >= spindles_.size()) spindles_.resize(spindle + 1);
+  SpindleCounters& counters = spindles_[spindle];
+  if (counters.reads == nullptr) {
+    const std::string prefix = "disk.s" + std::to_string(spindle) + ".";
+    counters.reads = registry_->GetCounter(prefix + "reads");
+    counters.writes = registry_->GetCounter(prefix + "writes");
+    counters.read_seek_pages =
+        registry_->GetCounter(prefix + "read_seek_pages");
+    counters.write_seek_pages =
+        registry_->GetCounter(prefix + "write_seek_pages");
   }
-  for (uint32_t k = static_cast<uint32_t>(spindle_reads_.size()); k <= spindle;
-       ++k) {
-    const std::string prefix = "disk.s" + std::to_string(k) + ".";
-    spindle_reads_.push_back(registry_->GetCounter(prefix + "reads"));
-    spindle_writes_.push_back(registry_->GetCounter(prefix + "writes"));
-    spindle_read_seek_.push_back(
-        registry_->GetCounter(prefix + "read_seek_pages"));
-    spindle_write_seek_.push_back(
-        registry_->GetCounter(prefix + "write_seek_pages"));
-  }
+  return counters;
 }
 
 void RegistryPublisher::OnDiskReadAt(uint32_t spindle, PageId page,
                                      uint64_t seek_pages) {
-  if (spindle > 0 && !spindle_tracking_) {
-    BindSpindleTracking();
-  }
-  OnDiskRead(page, seek_pages);
-  if (spindle_tracking_) {
-    EnsureSpindleSlot(spindle);
-    spindle_reads_[spindle]->Inc();
-    spindle_read_seek_[spindle]->Inc(seek_pages);
-  }
+  OnDiskReadRunAt(spindle, page, 1, seek_pages);
 }
 
-void RegistryPublisher::OnDiskWriteAt(uint32_t spindle, PageId page,
+void RegistryPublisher::OnDiskWriteAt(uint32_t spindle, PageId,
                                       uint64_t seek_pages) {
-  if (spindle > 0 && !spindle_tracking_) {
-    BindSpindleTracking();
-  }
-  OnDiskWrite(page, seek_pages);
-  if (spindle_tracking_) {
-    EnsureSpindleSlot(spindle);
-    spindle_writes_[spindle]->Inc();
-    spindle_write_seek_[spindle]->Inc(seek_pages);
-  }
+  disk_writes_->Inc();
+  write_seek_distance_->Add(seek_pages);
+  SpindleCounters& counters = Spindle(spindle);
+  counters.writes->Inc();
+  counters.write_seek_pages->Inc(seek_pages);
 }
 
-void RegistryPublisher::OnDiskReadRunAt(uint32_t spindle, PageId first_page,
+void RegistryPublisher::OnDiskReadRunAt(uint32_t spindle, PageId,
                                         size_t pages, uint64_t seek_pages) {
-  if (spindle > 0 && !spindle_tracking_) {
-    BindSpindleTracking();
+  disk_reads_->Inc();
+  seek_distance_->Add(seek_pages);
+  io_pages_per_read_->Add(static_cast<uint64_t>(pages));
+  if (pages >= 2) {
+    io_coalesced_runs_->Inc();
+    io_run_length_->Add(static_cast<uint64_t>(pages));
   }
-  OnDiskReadRun(first_page, pages, seek_pages);
-  if (spindle_tracking_) {
-    // A run is reported once, from its entry spindle, like the global
-    // disk.reads sample it produced.
-    EnsureSpindleSlot(spindle);
-    spindle_reads_[spindle]->Inc();
-    spindle_read_seek_[spindle]->Inc(seek_pages);
-  }
+  SpindleCounters& counters = Spindle(spindle);
+  counters.reads->Inc();
+  counters.read_seek_pages->Inc(seek_pages);
 }
 
 void RegistryPublisher::OnDiskFault(PageId, FaultKind kind) {
-  const int index = static_cast<int>(kind);
-  if (disk_faults_[index] == nullptr) {
-    disk_faults_[index] =
-        registry_->GetCounter(std::string("disk.faults.") +
-                              FaultKindName(kind));
-  }
-  disk_faults_[index]->Inc();
+  disk_faults_[static_cast<int>(kind)]->Inc();
 }
 
 void RegistryPublisher::OnBufferHit(PageId) { buffer_hits_->Inc(); }
@@ -212,13 +161,6 @@ void RegistryPublisher::OnBufferChecksumFailure(PageId) {
 
 void RegistryPublisher::OnWalFlush(wal::Lsn, size_t pages, size_t bytes,
                                    size_t records) {
-  if (wal_flushes_ == nullptr) {
-    wal_flushes_ = registry_->GetCounter("wal.flushes");
-    wal_records_ = registry_->GetCounter("wal.records");
-    wal_pages_ = registry_->GetCounter("wal.pages");
-    wal_bytes_ = registry_->GetCounter("wal.bytes");
-    wal_batch_records_ = registry_->GetHistogram("wal.batch_records");
-  }
   wal_flushes_->Inc();
   wal_records_->Inc(records);
   wal_pages_->Inc(pages);

@@ -9,16 +9,20 @@
 // metrics without depending on the obs layer themselves:
 //
 //   counters    disk.reads, disk.writes, disk.faults.<kind>,
+//               disk.s<k>.{reads,writes,read_seek_pages,write_seek_pages},
+//               io.coalesced_runs,
 //               buffer.hits, buffer.faults, buffer.evictions,
 //               buffer.dirty_evictions, buffer.retries,
 //               buffer.checksum_failures,
 //               assembly.admitted, assembly.emitted, assembly.aborted,
 //               assembly.objects_dropped, assembly.fetches,
-//               assembly.shared_hits, assembly.prebuilt_hits
+//               assembly.shared_hits, assembly.prebuilt_hits,
+//               wal.flushes, wal.records, wal.pages, wal.bytes
 //   gauges      assembly.window_occupancy, assembly.pool_size (+ max)
 //   histograms  disk.seek_distance, disk.write_seek_distance,
+//               io.run_length, io.pages_per_read,
 //               assembly.window_occupancy.dist, assembly.pool_size.dist,
-//               assembly.fetch_latency_ns
+//               assembly.fetch_latency_ns, wal.batch_records
 //
 // TelemetryHub fans one hook slot out to any number of sinks, so a bench
 // can attach a RegistryPublisher *and* a TraceRecorder to the same disk.
@@ -42,30 +46,27 @@ class RegistryPublisher : public AssemblyObserver,
                           public BufferEventListener,
                           public wal::WalEventListener {
  public:
-  // Binds all instruments eagerly; `registry` must outlive the publisher.
+  // Binds every instrument but the per-spindle counters, which appear on
+  // each spindle's first event; `registry` must outlive the publisher.
   // The clock feeds the per-fetch latency histogram.
   explicit RegistryPublisher(Registry* registry,
                              const Clock* clock = nullptr);
 
   void OnEvent(const AssemblyEvent& event) override;
+  // The plain disk hooks are the spindle-0 forms of the ...At hooks.
   void OnDiskRead(PageId page, uint64_t seek_pages) override;
-  // Vectored reads keep disk.reads / disk.seek_distance comparable to the
-  // single-page regime (one read, one seek sample per transfer) and, once a
-  // multi-page run is seen, additionally publish io.coalesced_runs,
-  // io.run_length and io.pages_per_read.  The io.* instruments bind lazily
-  // on the first >= 2 page run so workloads that never coalesce produce
-  // output bit-identical to the pre-vectored registry.
   void OnDiskReadRun(PageId first_page, size_t pages,
                      uint64_t seek_pages) override;
   void OnDiskWrite(PageId page, uint64_t seek_pages) override;
-  // Spindle-dimensioned forms (what a disk actually fires).  They forward
-  // to the legacy hooks for the global instruments, then track per-spindle
-  // disk.s<k>.{reads,writes,read_seek_pages,write_seek_pages} counters.
-  // The per-spindle instruments bind lazily on the first event from a
-  // spindle > 0 — a single-spindle run keeps the historical registry shape
-  // bit-identical — and spindle 0 is backfilled from the already-bound
-  // global instruments at that moment (every earlier event was spindle 0),
-  // so the per-spindle sums equal the globals exactly from the start.
+  // Every read transfer, single page or vectored run, counts once in
+  // disk.reads and disk.seek_distance and adds its page count to
+  // io.pages_per_read (so that histogram's count equals disk.reads and its
+  // total equals DiskStats::pages_read); a run of two or more pages also
+  // counts in io.coalesced_runs and io.run_length.  The serving spindle k
+  // is charged in disk.s<k>.{reads,writes,read_seek_pages,
+  // write_seek_pages}, created on that spindle's first event, so the
+  // per-spindle sums equal the global counters.  A run is charged once,
+  // to its entry spindle.
   void OnDiskReadAt(uint32_t spindle, PageId page,
                     uint64_t seek_pages) override;
   void OnDiskWriteAt(uint32_t spindle, PageId page,
@@ -79,23 +80,21 @@ class RegistryPublisher : public AssemblyObserver,
   void OnBufferRetry(PageId page, int attempt) override;
   void OnBufferChecksumFailure(PageId page) override;
   // Publishes wal.flushes / wal.records / wal.pages / wal.bytes and the
-  // wal.batch_records distribution.  Instruments bind lazily on the first
-  // flush so WAL-free runs keep the historical registry shape.  Fired by
-  // the group-commit daemon thread: like every publisher hook, calls must
-  // be externally serialized against other registry users (see
-  // service::LockedTelemetry).
+  // wal.batch_records distribution.  Fired by the group-commit daemon
+  // thread: like every publisher hook, calls must be externally serialized
+  // against other registry users (see service::LockedTelemetry).
   void OnWalFlush(wal::Lsn durable_lsn, size_t pages, size_t bytes,
                   size_t records) override;
 
  private:
-  // Creates the io.* instruments on first use (see OnDiskReadRun).
-  void BindRunInstruments();
-
-  // Starts per-spindle tracking: backfills spindle 0 from the global
-  // instruments, then EnsureSpindleSlot creates disk.s<k>.* counters as
-  // spindles appear.
-  void BindSpindleTracking();
-  void EnsureSpindleSlot(uint32_t spindle);
+  struct SpindleCounters {
+    Counter* reads = nullptr;
+    Counter* writes = nullptr;
+    Counter* read_seek_pages = nullptr;
+    Counter* write_seek_pages = nullptr;
+  };
+  // Spindle `spindle`'s disk.s<k>.* counters, created on first use.
+  SpindleCounters& Spindle(uint32_t spindle);
 
   Registry* registry_;
   const Clock* clock_;
@@ -104,11 +103,12 @@ class RegistryPublisher : public AssemblyObserver,
   Counter* disk_writes_;
   Histogram* seek_distance_;
   Histogram* write_seek_distance_;
-  // One counter per FaultKind, indexed by the enum value.  The read-side
-  // kinds bind eagerly (historical registry shape); the write-side kinds
-  // (transient-write, torn-write) bind lazily on first occurrence so
-  // read-only workloads keep golden-identical registries.
+  // One counter per FaultKind, indexed by the enum value.
   Counter* disk_faults_[kNumFaultKinds];
+  Counter* io_coalesced_runs_;
+  Histogram* io_run_length_;
+  Histogram* io_pages_per_read_;
+  std::vector<SpindleCounters> spindles_;
 
   Counter* buffer_hits_;
   Counter* buffer_faults_;
@@ -130,26 +130,11 @@ class RegistryPublisher : public AssemblyObserver,
   Histogram* pool_size_dist_;
   Histogram* fetch_latency_ns_;
 
-  // Lazily bound vectored-I/O instruments; null until the first multi-page
-  // run event so single-page workloads keep the historical registry shape.
-  Counter* io_coalesced_runs_ = nullptr;
-  Histogram* io_run_length_ = nullptr;
-  Histogram* io_pages_per_read_ = nullptr;
-
-  // Lazily bound per-spindle counters, indexed by spindle; empty until the
-  // first event from a spindle > 0 (see OnDiskReadAt).
-  bool spindle_tracking_ = false;
-  std::vector<Counter*> spindle_reads_;
-  std::vector<Counter*> spindle_writes_;
-  std::vector<Counter*> spindle_read_seek_;
-  std::vector<Counter*> spindle_write_seek_;
-
-  // Lazily bound WAL instruments; null until the first group-commit flush.
-  Counter* wal_flushes_ = nullptr;
-  Counter* wal_records_ = nullptr;
-  Counter* wal_pages_ = nullptr;
-  Counter* wal_bytes_ = nullptr;
-  Histogram* wal_batch_records_ = nullptr;
+  Counter* wal_flushes_;
+  Counter* wal_records_;
+  Counter* wal_pages_;
+  Counter* wal_bytes_;
+  Histogram* wal_batch_records_;
 
   uint64_t last_assembly_ns_ = 0;
   bool saw_assembly_event_ = false;

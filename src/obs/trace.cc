@@ -132,53 +132,25 @@ void TraceRecorder::OnEvent(const AssemblyEvent& event) {
 }
 
 void TraceRecorder::OnDiskRead(PageId page, uint64_t seek_pages) {
-  TraceEvent out;
-  out.kind = TraceEvent::Kind::kDiskRead;
-  out.ts_ns = clock_->NowNanos();
-  out.page = page;
-  out.seek_pages = seek_pages;
-  out.query_id = CurrentQueryId();
-  Push(out);
+  OnDiskReadAt(0, page, seek_pages);
 }
 
 void TraceRecorder::OnDiskReadRun(PageId first_page, size_t pages,
                                   uint64_t seek_pages) {
-  TraceEvent out;
-  out.kind = TraceEvent::Kind::kDiskRead;
-  out.ts_ns = clock_->NowNanos();
-  out.page = first_page;
-  out.seek_pages = seek_pages;
-  out.run_pages = pages == 0 ? 1 : pages;
-  out.query_id = CurrentQueryId();
-  Push(out);
+  OnDiskReadRunAt(0, first_page, pages, seek_pages);
 }
 
 void TraceRecorder::OnDiskWrite(PageId page, uint64_t seek_pages) {
-  TraceEvent out;
-  out.kind = TraceEvent::Kind::kDiskWrite;
-  out.ts_ns = clock_->NowNanos();
-  out.page = page;
-  out.seek_pages = seek_pages;
-  out.query_id = CurrentQueryId();
-  Push(out);
+  OnDiskWriteAt(0, page, seek_pages);
 }
 
 void TraceRecorder::OnDiskReadAt(uint32_t spindle, PageId page,
                                  uint64_t seek_pages) {
-  if (spindle > 0) saw_multi_spindle_ = true;
-  TraceEvent out;
-  out.kind = TraceEvent::Kind::kDiskRead;
-  out.ts_ns = clock_->NowNanos();
-  out.page = page;
-  out.seek_pages = seek_pages;
-  out.query_id = CurrentQueryId();
-  out.spindle = spindle;
-  Push(out);
+  OnDiskReadRunAt(spindle, page, 1, seek_pages);
 }
 
 void TraceRecorder::OnDiskReadRunAt(uint32_t spindle, PageId first_page,
                                     size_t pages, uint64_t seek_pages) {
-  if (spindle > 0) saw_multi_spindle_ = true;
   TraceEvent out;
   out.kind = TraceEvent::Kind::kDiskRead;
   out.ts_ns = clock_->NowNanos();
@@ -192,7 +164,6 @@ void TraceRecorder::OnDiskReadRunAt(uint32_t spindle, PageId first_page,
 
 void TraceRecorder::OnDiskWriteAt(uint32_t spindle, PageId page,
                                   uint64_t seek_pages) {
-  if (spindle > 0) saw_multi_spindle_ = true;
   TraceEvent out;
   out.kind = TraceEvent::Kind::kDiskWrite;
   out.ts_ns = clock_->NowNanos();
@@ -293,7 +264,6 @@ void TraceRecorder::Clear() {
   lane_in_use_.clear();
   num_lanes_ = 0;
   saw_assembly_event_ = false;
-  saw_multi_spindle_ = false;
 }
 
 JsonValue TraceRecorder::ToChromeTrace() const {
@@ -388,7 +358,7 @@ JsonValue TraceRecorder::ToChromeTrace() const {
         args.Set("page", event.page);
         args.Set("seek_pages", event.seek_pages);
         args.Set("query", event.query_id);
-        if (saw_multi_spindle_) args.Set("spindle", event.spindle);
+        args.Set("spindle", event.spindle);
         break;
       case TraceEvent::Kind::kBufferHit:
       case TraceEvent::Kind::kBufferFault:

@@ -13,7 +13,8 @@
 //     objects appear as W horizontal tracks: an "assemble #id" span from
 //     admit to emit/abort, with nested fetch / shared-hit / prebuilt-hit
 //     spans showing where the slot's time went;
-//   * a "disk" lane of read/write instants (args: page, seek distance);
+//   * a "disk" lane of read/write instants (args: page, seek distance,
+//     query, spindle);
 //   * a "buffer" lane of hit/fault/eviction instants.
 //
 // Durations: execution is single-threaded, so the work attributed to an
@@ -95,9 +96,8 @@ class TraceRecorder : public AssemblyObserver,
 
   // AssemblyObserver.
   void OnEvent(const AssemblyEvent& event) override;
-  // DiskEventListener.  The At-forms stamp the serving spindle on the
-  // event; disk slices gain a "spindle" arg once any event arrives from a
-  // spindle > 0 (single-spindle traces keep their historical shape).
+  // DiskEventListener.  Every disk slice carries its serving spindle; the
+  // plain hooks are the spindle-0 forms of the At-hooks.
   void OnDiskRead(PageId page, uint64_t seek_pages) override;
   void OnDiskReadRun(PageId first_page, size_t pages,
                      uint64_t seek_pages) override;
@@ -164,9 +164,6 @@ class TraceRecorder : public AssemblyObserver,
   int num_lanes_ = 0;
   uint64_t last_assembly_ns_ = 0;
   bool saw_assembly_event_ = false;
-  // True once any disk event arrived from a spindle > 0; gates the
-  // "spindle" arg in the export so single-spindle traces are unchanged.
-  bool saw_multi_spindle_ = false;
 };
 
 }  // namespace cobra::obs

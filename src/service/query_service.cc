@@ -275,14 +275,9 @@ WriteResult QueryService::ExecuteWrite(const WriteJob& job) {
     if (!status.ok()) {
       aggregate_.GetCounter("service.writes_failed")->Inc();
     }
-    // Lazy, like cache.hits/cache.misses on the read side.
-    if (cache_effect.invalidated > 0) {
-      aggregate_.GetCounter("cache.invalidations")
-          ->Inc(cache_effect.invalidated);
-    }
-    if (cache_effect.patched > 0) {
-      aggregate_.GetCounter("cache.patches")->Inc(cache_effect.patched);
-    }
+    aggregate_.GetCounter("cache.invalidations")
+        ->Inc(cache_effect.invalidated);
+    aggregate_.GetCounter("cache.patches")->Inc(cache_effect.patched);
   }
   return result;
 }
@@ -316,12 +311,8 @@ QueryResult QueryService::Execute(QueryJob& job, obs::Registry* job_registry,
   result.rows = assembled.rows;
   result.assembly = assembled.assembly;
   const uint64_t batches = assembled.batches;
-  // Lazy instruments, like the WAL counters: only queries that actually ran
-  // against a cache emit them, so cache-off registries are unchanged.
-  if (assembled.cache_hits > 0 || assembled.cache_misses > 0) {
-    job_registry->GetCounter("cache.hits")->Inc(assembled.cache_hits);
-    job_registry->GetCounter("cache.misses")->Inc(assembled.cache_misses);
-  }
+  job_registry->GetCounter("cache.hits")->Inc(assembled.cache_hits);
+  job_registry->GetCounter("cache.misses")->Inc(assembled.cache_misses);
   const uint64_t exec_ns = obs::SpanNowNanos() - exec_begin;
 
   // EXPLAIN ANALYZE summary of the executed (fixed-shape) plan, kept for
@@ -370,8 +361,7 @@ void QueryService::Account(const QueryResult& result,
   aggregate_.GetCounter("service.rows")->Inc(result.rows);
   aggregate_.GetCounter("service.objects_dropped")
       ->Inc(result.assembly.objects_dropped);
-  // Latency decomposition distributions.  The `_ns` suffix marks them as
-  // run-time-dependent for the golden comparator, like elapsed_ns.
+  // Latency decomposition distributions.
   aggregate_.GetHistogram("service.latency.total_ns")->Add(result.total_ns);
   aggregate_.GetHistogram("service.latency.queue_ns")->Add(result.queue_ns);
   aggregate_.GetHistogram("service.latency.io_ns")->Add(result.io_ns);

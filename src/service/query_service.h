@@ -85,13 +85,30 @@ class LockedTelemetry : public DiskEventListener,
                   cache::CacheEventListener* cache = nullptr)
       : disk_(disk), buffer_(buffer), wal_(wal), cache_(cache) {}
 
+  // The disk fires only the spindle-carrying forms; forwarding them as
+  // such lets the inner sink see the spindle and a run's page count.
   void OnDiskRead(PageId page, uint64_t seek_pages) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (disk_ != nullptr) disk_->OnDiskRead(page, seek_pages);
+    OnDiskReadAt(0, page, seek_pages);
   }
   void OnDiskWrite(PageId page, uint64_t seek_pages) override {
+    OnDiskWriteAt(0, page, seek_pages);
+  }
+  void OnDiskReadAt(uint32_t spindle, PageId page,
+                    uint64_t seek_pages) override {
     std::lock_guard<std::mutex> lock(mu_);
-    if (disk_ != nullptr) disk_->OnDiskWrite(page, seek_pages);
+    if (disk_ != nullptr) disk_->OnDiskReadAt(spindle, page, seek_pages);
+  }
+  void OnDiskReadRunAt(uint32_t spindle, PageId first_page, size_t pages,
+                       uint64_t seek_pages) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (disk_ != nullptr) {
+      disk_->OnDiskReadRunAt(spindle, first_page, pages, seek_pages);
+    }
+  }
+  void OnDiskWriteAt(uint32_t spindle, PageId page,
+                     uint64_t seek_pages) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (disk_ != nullptr) disk_->OnDiskWriteAt(spindle, page, seek_pages);
   }
   void OnDiskFault(PageId page, FaultKind kind) override {
     std::lock_guard<std::mutex> lock(mu_);

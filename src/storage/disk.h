@@ -104,9 +104,8 @@ struct DiskStats {
   uint64_t write_seek_pages = 0;
   // Vectored-I/O accounting: `reads` counts transfers (one per ReadRun call
   // that moves data), `pages_read` counts pages moved, and `coalesced_runs`
-  // counts transfers that moved two or more pages.  All three stay in
-  // lockstep with the single-page path (pages_read == reads) until a caller
-  // actually coalesces, which keeps the seed goldens bit-identical.
+  // counts transfers that moved two or more pages.  Without coalescing,
+  // pages_read == reads and coalesced_runs == 0.
   uint64_t pages_read = 0;
   uint64_t coalesced_runs = 0;
 

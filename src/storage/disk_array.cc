@@ -31,11 +31,11 @@ DiskOptions WithGeometry(DiskOptions options, DiskGeometry geometry) {
 DiskArray::DiskArray(DiskGeometry geometry, DiskOptions options)
     : SimulatedDisk(WithGeometry(options, geometry)) {}
 
-std::vector<DiskStats> DiskArray::SpindleStats() const {
+std::vector<DiskStats> SpindleStats(const SimulatedDisk& disk) {
   std::vector<DiskStats> per_spindle;
-  per_spindle.reserve(num_spindles());
-  for (uint32_t s = 0; s < num_spindles(); ++s) {
-    per_spindle.push_back(spindle_stats(s));
+  per_spindle.reserve(disk.num_spindles());
+  for (uint32_t s = 0; s < disk.num_spindles(); ++s) {
+    per_spindle.push_back(disk.spindle_stats(s));
   }
   return per_spindle;
 }

@@ -29,14 +29,14 @@ class DiskArray : public SimulatedDisk {
  public:
   explicit DiskArray(DiskGeometry geometry, DiskOptions options = {});
 
-  // Control-plane: one DiskStats per spindle, index == spindle.
-  std::vector<DiskStats> SpindleStats() const;
-
   // True iff the per-spindle counters sum to the global stats() field by
   // field — the disk-level conservation invariant.  Tests assert it after
   // every workload; it can only fail through an accounting bug.
   bool SpindleStatsConserve() const;
 };
+
+// Control-plane: one DiskStats per spindle of `disk`, index == spindle.
+std::vector<DiskStats> SpindleStats(const SimulatedDisk& disk);
 
 // Free-function form of the conservation check so tests can apply it to
 // any SimulatedDisk (including decorated ones) without a DiskArray cast.

@@ -19,6 +19,7 @@
 #include "buffer/buffer_manager.h"
 #include "obs/flight_recorder.h"
 #include "obs/query_context.h"
+#include "obs/trace.h"
 #include "service/query_service.h"
 #include "storage/async_disk.h"
 #include "storage/disk.h"
@@ -386,6 +387,39 @@ TEST(Attribution, RegistryRollupMatchesPerQuerySums) {
   ServiceRun run = RunService(db.get(), config);
   EXPECT_EQ(rollup_reads, run.attributed.disk_reads);
   EXPECT_EQ(rollup_faults, run.attributed.buffer_faults);
+}
+
+// The service serializes disk events onto an inner sink through
+// LockedTelemetry; the inner sink must still see the serving spindle and a
+// coalesced run's page count.
+TEST(LockedTelemetry, ForwardsSpindleAndRunPages) {
+  DiskGeometry geometry;
+  geometry.spindles = 2;
+  geometry.stripe_width = 4;
+  SimulatedDisk disk(DiskOptions{.geometry = geometry});
+  std::vector<std::byte> page(disk.page_size(), std::byte{7});
+  for (PageId id = 0; id < 12; ++id) {
+    ASSERT_TRUE(disk.WritePage(id, page.data()).ok());
+  }
+  ASSERT_EQ(disk.SpindleOf(5), 1u);
+  ASSERT_EQ(disk.SpindleOf(8), 0u);
+  obs::TraceRecorder recorder;
+  service::LockedTelemetry telemetry(&recorder, &recorder);
+  disk.set_listener(&telemetry);
+  ASSERT_TRUE(disk.ReadPage(5, page.data()).ok());
+  std::vector<std::vector<std::byte>> bufs(
+      3, std::vector<std::byte>(disk.page_size()));
+  std::vector<std::byte*> outs;
+  for (auto& buf : bufs) outs.push_back(buf.data());
+  ASSERT_TRUE(disk.ReadRun(8, 3, /*ascending=*/true, outs.data()).status.ok());
+  disk.set_listener(nullptr);
+
+  const std::vector<obs::TraceEvent> events = recorder.Events();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].spindle, 1u);
+  EXPECT_EQ(events[0].run_pages, 1u);
+  EXPECT_EQ(events[1].spindle, 0u);
+  EXPECT_EQ(events[1].run_pages, 3u);
 }
 
 // Substrate unit tests (no service): context ring, nesting, timer.

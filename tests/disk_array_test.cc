@@ -230,7 +230,7 @@ TEST(DiskArrayTest, ConservationHoldsUnderMixedTraffic) {
   EXPECT_TRUE(array.SpindleStatsConserve());
   EXPECT_TRUE(SpindleStatsConserve(array));
   uint64_t reads = 0;
-  for (const DiskStats& s : array.SpindleStats()) reads += s.reads;
+  for (const DiskStats& s : SpindleStats(array)) reads += s.reads;
   EXPECT_EQ(reads, array.stats().reads);
 }
 

@@ -317,6 +317,93 @@ TEST_F(ObsTest, RegistryPublisherMatchesOperatorStats) {
             static_cast<int64_t>(stats.complex_emitted));
 }
 
+// A vectored read stream that opens with single-page reads:
+// io.pages_per_read covers every transfer, not only those after the first
+// coalesced run.
+TEST(RegistryPublisherTest, PagesPerReadCoversEveryRead) {
+  SimulatedDisk disk;
+  std::vector<std::byte> page(disk.page_size(), std::byte{1});
+  for (PageId id = 0; id < 16; ++id) {
+    ASSERT_TRUE(disk.WritePage(id, page.data()).ok());
+  }
+  disk.ResetStats();
+  obs::Registry registry;
+  obs::RegistryPublisher publisher(&registry);
+  disk.set_listener(&publisher);
+  std::vector<std::vector<std::byte>> bufs(
+      4, std::vector<std::byte>(disk.page_size()));
+  std::vector<std::byte*> outs;
+  for (auto& buf : bufs) outs.push_back(buf.data());
+  ASSERT_TRUE(disk.ReadPage(3, outs[0]).ok());
+  ASSERT_TRUE(disk.ReadPage(9, outs[0]).ok());
+  ASSERT_TRUE(disk.ReadRun(10, 4, /*ascending=*/true, outs.data()).status.ok());
+  ASSERT_TRUE(disk.ReadPage(2, outs[0]).ok());
+  disk.set_listener(nullptr);
+
+  const DiskStats& stats = disk.stats();
+  ASSERT_EQ(stats.reads, 4u);
+  ASSERT_EQ(stats.pages_read, 7u);
+  const obs::Histogram* pages = registry.FindHistogram("io.pages_per_read");
+  ASSERT_NE(pages, nullptr);
+  EXPECT_EQ(pages->count(), stats.reads);
+  EXPECT_EQ(pages->total(), stats.pages_read);
+  EXPECT_EQ(registry.FindCounter("disk.reads")->value(), stats.reads);
+  EXPECT_EQ(registry.FindCounter("io.coalesced_runs")->value(),
+            stats.coalesced_runs);
+}
+
+// On a two-spindle disk the disk.s<k>.* counters sum to the global ones
+// from the first event on, whichever spindle serves it.
+TEST(RegistryPublisherTest, SpindleCountersSumToGlobals) {
+  DiskGeometry geometry;
+  geometry.spindles = 2;
+  SimulatedDisk disk(DiskOptions{.geometry = geometry});
+  std::vector<std::byte> page(disk.page_size(), std::byte{2});
+  for (PageId id = 0; id < 8; ++id) {
+    ASSERT_TRUE(disk.WritePage(id, page.data()).ok());
+  }
+  ASSERT_EQ(disk.SpindleOf(4), 0u);
+  ASSERT_EQ(disk.SpindleOf(5), 1u);
+  obs::Registry registry;
+  obs::RegistryPublisher publisher(&registry);
+  disk.set_listener(&publisher);
+  auto spindle_sum = [&](const std::string& field) {
+    uint64_t sum = 0;
+    for (int k = 0; k < 2; ++k) {
+      const obs::Counter* counter =
+          registry.FindCounter("disk.s" + std::to_string(k) + "." + field);
+      if (counter != nullptr) sum += counter->value();
+    }
+    return sum;
+  };
+  auto expect_conserved = [&] {
+    EXPECT_EQ(spindle_sum("reads"),
+              registry.FindCounter("disk.reads")->value());
+    EXPECT_EQ(spindle_sum("writes"),
+              registry.FindCounter("disk.writes")->value());
+    EXPECT_EQ(spindle_sum("read_seek_pages"),
+              registry.FindHistogram("disk.seek_distance")->total());
+    EXPECT_EQ(spindle_sum("write_seek_pages"),
+              registry.FindHistogram("disk.write_seek_distance")->total());
+  };
+
+  ASSERT_TRUE(disk.ReadPage(4, page.data()).ok());
+  ASSERT_TRUE(disk.WritePage(6, page.data()).ok());
+  {
+    SCOPED_TRACE("after events on spindle 0");
+    EXPECT_EQ(registry.FindCounter("disk.reads")->value(), 1u);
+    expect_conserved();
+  }
+  ASSERT_TRUE(disk.ReadPage(5, page.data()).ok());
+  ASSERT_TRUE(disk.WritePage(7, page.data()).ok());
+  disk.set_listener(nullptr);
+  {
+    SCOPED_TRACE("after events on spindle 1");
+    EXPECT_EQ(registry.FindCounter("disk.s1.reads")->value(), 1u);
+    expect_conserved();
+  }
+}
+
 TEST_F(ObsTest, ExplainAnalyzeRowCountsMatchDrainAll) {
   // Stacked assembly: rows carry two root refs; each Assemble resolves one
   // column, so the plan nests two assembly operators over the scan.
@@ -463,6 +550,10 @@ TEST_F(ObsTest, DiskTraceEventsCarryQueryId) {
     const obs::JsonValue* query = args->Find("query");
     ASSERT_NE(query, nullptr) << n;
     EXPECT_EQ(query->AsInt(), 42);
+    // Every disk slice also names its spindle, on one spindle too.
+    const obs::JsonValue* spindle = args->Find("spindle");
+    ASSERT_NE(spindle, nullptr) << n;
+    EXPECT_EQ(spindle->AsInt(), 0);
     tagged++;
   }
   EXPECT_EQ(tagged, disk_events);

@@ -723,7 +723,7 @@ TEST(ObjectStoreTxn, CommitMakesVisibleAbortRollsBack) {
 
 // -------------------------------------------------------------- telemetry
 
-TEST(WalObs, FlushEventsBindLazilyIntoRegistry) {
+TEST(WalObs, FlushEventsPublishIntoRegistry) {
   obs::Registry registry;
   obs::RegistryPublisher publisher(&registry);
   SimulatedDisk disk;
@@ -731,9 +731,10 @@ TEST(WalObs, FlushEventsBindLazilyIntoRegistry) {
   wal.set_listener(&publisher);
   ASSERT_TRUE(wal.Recover().ok());
 
-  // No flush yet: the wal.* instruments must not exist (lazy binding keeps
-  // read-only registry dumps identical to the pre-WAL goldens).
-  EXPECT_EQ(registry.FindCounter("wal.flushes"), nullptr);
+  // No flush yet: the wal.* instruments exist and read zero.
+  const obs::Counter* before = registry.FindCounter("wal.flushes");
+  ASSERT_NE(before, nullptr);
+  EXPECT_EQ(before->value(), 0u);
 
   auto txn = wal.Begin();
   ASSERT_TRUE(txn.ok());

@@ -1,26 +1,43 @@
 #!/usr/bin/env python3
 """Golden-file checker for the deterministic bench JSON outputs.
 
-The fig* benchmarks drive a simulated disk, so every I/O metric (reads,
-seek pages, buffer hits, ...) is bit-for-bit reproducible across runs and
-machines.  Wall-clock derived values are not: any histogram or field whose
-key ends in `_ns` is stripped before comparison.
+The fig* benchmarks drive a simulated disk, so every I/O count (reads,
+seek pages, buffer hits, ...) is reproducible across runs and machines.
+Every mode below except cache and recluster reads a bench --json capture
+through one projection, which keeps of each run:
+
+  * its label and the keys runs are matched on (clustering, scheduler,
+    num_complex_objects, mode);
+  * every integer under disk, buffer, assembly and attributed;
+  * refetched_pages and rows;
+  * the seek-distance histogram's non-empty buckets (lo, count) and max.
+
+It drops the rest: floats derived from those integers (avg_seek,
+hit_rate, histogram quantiles, ...), the telemetry registry and
+registry_size, timings and bench settings.  A golden is the projection of
+a capture, one run per line, so a moved count reads as a one-line diff.
+Projecting a golden returns it unchanged, so every mode accepts a golden
+or a capture wherever it reads one.
 
 Usage:
   bench_golden.py extract <run.json> <golden.json>
-      Normalize a bench --json capture and write it as a golden file.
+      Write the projection of a capture as a golden.  Regenerate a golden
+      only when a change legitimately moves a pinned count, and name the
+      count and the reason in the change description.
   bench_golden.py check <golden.json> <run.json>
-      Normalize both sides and compare; exit 1 with a diff on mismatch.
+      Match runs by label and compare their projections; exit 1 naming
+      every differing run and field path, and every run present on one
+      side only.
   bench_golden.py crosscheck <reference.json> <run.json>
-      Compare the *I/O subtrees* of runs that describe the same
-      configuration in two different benches.  Runs are matched by
-      (clustering, scheduler, num_complex_objects); for each pair the
-      disk/buffer/assembly stats, seek histogram, refetched_pages and
-      avg_seek must be identical.  Used to pin bench/multi_client.cc
-      --clients 1 to the fig13 single-client numbers: same workload, same
-      metrics, different machinery (query service + async disk + sharded
-      pool vs. the direct single-threaded path).  Bench-specific fields
-      (labels, registry snapshots, client counts) are ignored.
+      Compare the I/O of runs that describe the same configuration in two
+      different benches.  Runs are matched by (clustering, scheduler,
+      num_complex_objects), skipping runs whose mode is not "merged" (the
+      multi-client "independent" baseline); for each pair the disk,
+      buffer and assembly counts, the seek histogram and refetched_pages
+      must be identical.  Pins bench/multi_client.cc --clients 1 to the
+      fig13 single-client numbers: same workload, different machinery
+      (query service + async disk + sharded pool vs. the direct
+      single-threaded path).
   bench_golden.py iobatch <seed.json> <iobatch.json>
       Assert the vectored-I/O win: over the inter-object-clustered elevator
       runs of a fig13 capture, the --io-batch run must issue at least 30%
@@ -34,9 +51,8 @@ Usage:
       issue exactly as many disk reads (striping relocates pages, it never
       adds I/O) with per-run non-increasing read seek pages, and the
       aggregate seek pages across matched runs must be strictly lower.
-      Also verifies conservation: wherever a run carries a per-spindle
-      "spindles" breakdown, its reads/seek-page fields must sum exactly to
-      the run's global disk stats.
+      Also verifies conservation on the array capture itself: each run's
+      per-spindle "spindles" blocks must sum exactly to its disk stats.
   bench_golden.py recluster <trajectory.json>
       Assert online re-clustering convergence over a
       bench/recluster_convergence capture: the final epoch's read seek
@@ -59,78 +75,142 @@ Usage:
       with thread interleaving.
 """
 
-import difflib
 import json
 import sys
 
-# The configuration-identity key and the I/O payload compared by crosscheck.
+MATCH_KEYS = ("clustering", "scheduler", "num_complex_objects", "mode")
+COUNT_SECTIONS = ("disk", "buffer", "assembly", "attributed")
+COUNTS = ("refetched_pages", "rows")
+# Ratios of pinned counts.  The bench JSON writes an integral double (a
+# 0.0 hit rate) as 0, so these are dropped by name, not by type.
+DERIVED = ("avg_seek_per_read", "avg_seek_per_write", "hit_rate")
 CROSSCHECK_KEY = ("clustering", "scheduler", "num_complex_objects")
-CROSSCHECK_FIELDS = (
-    "disk",
-    "buffer",
-    "assembly",
-    "seek_histogram",
-    "refetched_pages",
-    "avg_seek",
-    "avg_write_seek",
-)
+CROSSCHECK_FIELDS = ("disk", "buffer", "assembly", "seek_histogram",
+                     "refetched_pages")
+SPINDLE_FIELDS = ("reads", "read_seek_pages", "writes", "write_seek_pages")
 
 
-def strip_nondeterministic(node):
-    """Recursively drops object keys ending in `_ns` (timing data)."""
-    if isinstance(node, dict):
-        return {
-            key: strip_nondeterministic(value)
-            for key, value in node.items()
-            if not key.endswith("_ns")
+def project(run):
+    """The pinned part of one run (see the module docstring)."""
+    out = {key: run[key] for key in ("label",) + MATCH_KEYS + COUNTS
+           if key in run}
+    for section in COUNT_SECTIONS:
+        if section in run:
+            out[section] = {key: value
+                            for key, value in run[section].items()
+                            if type(value) is int and key not in DERIVED}
+    histogram = run.get("seek_histogram")
+    if histogram is not None:
+        out["seek_histogram"] = {
+            "buckets": [{"lo": b["lo"], "count": b["count"]}
+                        for b in histogram["buckets"]],
+            "max": histogram["max"],
         }
-    if isinstance(node, list):
-        return [strip_nondeterministic(item) for item in node]
-    return node
+    return out
 
 
-def normalize(path):
+def read_runs(path):
     with open(path, "r", encoding="utf-8") as f:
-        data = json.load(f)
-    return json.dumps(strip_nondeterministic(data), indent=2, sort_keys=True)
+        return json.load(f).get("runs", [])
 
 
 def load_runs(path):
-    with open(path, "r", encoding="utf-8") as f:
-        data = json.load(f)
+    return [project(run) for run in read_runs(path)]
+
+
+def format_golden(runs):
+    lines = ",\n".join(json.dumps(run) for run in runs)
+    return '{"runs": [\n' + lines + "\n]}\n"
+
+
+def field_paths(node, prefix=""):
+    """Flattens a projected run into {field path: leaf value}."""
+    if isinstance(node, dict):
+        paths = {}
+        for key, value in node.items():
+            paths.update(field_paths(value, f"{prefix}.{key}" if prefix
+                                     else key))
+        return paths
+    if isinstance(node, list):
+        paths = {}
+        for i, item in enumerate(node):
+            paths.update(field_paths(item, f"{prefix}[{i}]"))
+        return paths
+    return {prefix: node}
+
+
+def differences(expected, actual):
+    """(field path, expected, actual) for every leaf that differs."""
+    left, right = field_paths(expected), field_paths(actual)
+    return [(path, left.get(path), right.get(path))
+            for path in sorted(left.keys() | right.keys())
+            if left.get(path) != right.get(path)]
+
+
+def shown(value):
+    return "absent" if value is None else value
+
+
+def by_label(runs, path):
+    labeled = {}
+    for run in runs:
+        if run["label"] in labeled:
+            sys.exit(f"{path}: duplicate run label {run['label']!r}")
+        labeled[run["label"]] = run
+    return labeled
+
+
+def check(golden_path, run_path):
+    golden = by_label(load_runs(golden_path), golden_path)
+    actual = by_label(load_runs(run_path), run_path)
+    problems = []
+    for label in sorted(golden.keys() | actual.keys()):
+        if label not in actual:
+            problems.append(f"run {label!r}: missing from {run_path}")
+        elif label not in golden:
+            problems.append(f"run {label!r}: not in golden {golden_path}")
+        else:
+            for path, want, got in differences(golden[label], actual[label]):
+                problems.append(f"run {label!r}: {path} {shown(want)} -> "
+                                f"{shown(got)}")
+    if not problems:
+        print(f"OK: {len(golden)} run(s) of {run_path} match {golden_path}")
+        return 0
+    sys.stderr.write(f"MISMATCH: {run_path} differs from golden "
+                     f"{golden_path}\n")
+    sys.stderr.writelines(f"  {problem}\n" for problem in problems)
+    return 1
+
+
+def runs_by_config(path):
     runs = {}
-    for run in data.get("runs", []):
+    for run in load_runs(path):
         if all(field in run for field in CROSSCHECK_KEY):
-            key = tuple(run[field] for field in CROSSCHECK_KEY)
-            # First occurrence wins (a bench never repeats a configuration
-            # except as an explicitly differently-moded run, e.g. the
-            # multi-client "independent" baseline — skip those).
+            # A bench never repeats a configuration except as an explicitly
+            # differently-moded run (the multi-client "independent"
+            # baseline); skip those.
             if run.get("mode", "merged") != "merged":
                 continue
-            runs.setdefault(key, run)
+            runs.setdefault(tuple(run[f] for f in CROSSCHECK_KEY), run)
     return runs
 
 
 def crosscheck(reference_path, run_path):
-    reference = load_runs(reference_path)
-    actual = load_runs(run_path)
+    reference = runs_by_config(reference_path)
+    actual = runs_by_config(run_path)
     matched = 0
     failures = 0
     for key, run in sorted(actual.items()):
         if key not in reference:
             continue
         matched += 1
-        ref = reference[key]
-        for field in CROSSCHECK_FIELDS:
-            left = strip_nondeterministic(ref.get(field))
-            right = strip_nondeterministic(run.get(field))
-            if left != right:
-                failures += 1
-                sys.stderr.write(
-                    f"CROSSCHECK MISMATCH {key} field '{field}':\n"
-                    f"  {reference_path}: {json.dumps(left, sort_keys=True)}\n"
-                    f"  {run_path}: {json.dumps(right, sort_keys=True)}\n"
-                )
+        expected = {f: reference[key].get(f) for f in CROSSCHECK_FIELDS}
+        got = {f: run.get(f) for f in CROSSCHECK_FIELDS}
+        for path, want, have in differences(expected, got):
+            failures += 1
+            sys.stderr.write(f"CROSSCHECK MISMATCH {key} {path}: "
+                             f"{reference_path} {shown(want)}, "
+                             f"{run_path} {shown(have)}\n")
     if matched == 0:
         sys.stderr.write(
             f"CROSSCHECK: no overlapping configurations between "
@@ -150,10 +230,8 @@ def crosscheck(reference_path, run_path):
 
 def iobatch_totals(path):
     """Total (reads, seek pages) over the inter-object elevator runs."""
-    with open(path, "r", encoding="utf-8") as f:
-        data = json.load(f)
     reads = seeks = matched = 0
-    for run in data.get("runs", []):
+    for run in load_runs(path):
         if (run.get("clustering") == "inter-object"
                 and run.get("scheduler") == "elevator"):
             reads += run["disk"]["reads"]
@@ -192,8 +270,8 @@ def iobatch(seed_path, batched_path):
 
 
 def spindles(seed_path, array_path):
-    seed = load_runs(seed_path)
-    array = load_runs(array_path)
+    seed = runs_by_config(seed_path)
+    array = runs_by_config(array_path)
     matched = failures = 0
     seed_seeks_total = array_seeks_total = 0
     for key, run in sorted(array.items()):
@@ -218,17 +296,18 @@ def spindles(seed_path, array_path):
             )
         seed_seeks_total += ref_disk["read_seek_pages"]
         array_seeks_total += run_disk["read_seek_pages"]
-        per_spindle = run.get("spindles")
-        if per_spindle:
-            for field in ("reads", "read_seek_pages", "writes",
-                          "write_seek_pages"):
-                total = sum(s.get(field, 0) for s in per_spindle)
-                if total != run_disk.get(field, 0):
-                    failures += 1
-                    sys.stderr.write(
-                        f"SPINDLES {key}: per-spindle '{field}' sums to "
-                        f"{total}, global says {run_disk.get(field, 0)}\n"
-                    )
+    # Conservation is a property of the capture itself, so it reads the
+    # per-spindle blocks the projection leaves out.
+    for run in read_runs(array_path):
+        per_spindle = run.get("spindles", [])
+        for field in SPINDLE_FIELDS:
+            total = sum(s[field] for s in per_spindle)
+            if per_spindle and total != run["disk"][field]:
+                failures += 1
+                sys.stderr.write(
+                    f"SPINDLES {run['label']!r}: per-spindle '{field}' sums "
+                    f"to {total}, global says {run['disk'][field]}\n"
+                )
     if matched == 0:
         sys.stderr.write(
             f"SPINDLES: no overlapping configurations between "
@@ -368,27 +447,18 @@ def main(argv):
         sys.stderr.write(__doc__)
         return 2
     mode, a, b = argv[1], argv[2], argv[3]
-    if mode == "iobatch":
-        return iobatch(a, b)
-    if mode == "spindles":
-        return spindles(a, b)
     if mode == "extract":
         with open(b, "w", encoding="utf-8") as f:
-            f.write(normalize(a) + "\n")
+            f.write(format_golden(load_runs(a)))
         print(f"wrote {b}")
         return 0
+    if mode == "check":
+        return check(a, b)
     if mode == "crosscheck":
         return crosscheck(a, b)
-    golden = normalize(a).splitlines(keepends=True)
-    actual = normalize(b).splitlines(keepends=True)
-    if golden == actual:
-        print(f"OK: {b} matches {a}")
-        return 0
-    sys.stderr.write(f"MISMATCH: {b} differs from golden {a}\n")
-    sys.stderr.writelines(
-        difflib.unified_diff(golden, actual, fromfile=a, tofile=b)
-    )
-    return 1
+    if mode == "iobatch":
+        return iobatch(a, b)
+    return spindles(a, b)
 
 
 if __name__ == "__main__":
