@@ -145,16 +145,13 @@ struct MergedRun {
   size_t refetched_pages = 0;
   uint64_t elapsed_ns = 0;
   uint64_t rows = 0;
-  obs::JsonValue registry;
   AsyncDiskStats async;
-  // Attribution rollup read back from the service registry: the
-  // service.attributed.* counters and the latency histograms.
+  // Attribution rollup: the service snapshot's per-client totals, summed.
   obs::QueryIoSnapshot attributed;
   LogHistogram latency_total;
   LogHistogram latency_queue;
   LogHistogram latency_io;
   LogHistogram latency_cpu;
-  size_t registry_size = 0;
   // Per-spindle breakdown, one entry per spindle.
   std::vector<DiskStats> spindle_disk;
   // Assembled-object cache outcomes (all zero with the cache off).
@@ -239,41 +236,13 @@ MergedRun RunMerged(AcobDatabase* db, const Flags& flags,
       Accumulate(&run.metrics.assembly, result.assembly);
     }
     service.Drain();
-    run.registry = service.registry().ToJson();
-    run.registry_size = service.registry().size();
-    auto counter = [&](const std::string& name) -> uint64_t {
-      const obs::Counter* c = service.registry().FindCounter(name);
-      return c == nullptr ? 0 : c->value();
-    };
-    run.attributed.disk_reads = counter("service.attributed.disk_reads");
-    run.attributed.disk_writes = counter("service.attributed.disk_writes");
-    run.attributed.read_seek_pages =
-        counter("service.attributed.read_seek_pages");
-    run.attributed.write_seek_pages =
-        counter("service.attributed.write_seek_pages");
-    run.attributed.pages_read = counter("service.attributed.pages_read");
-    run.attributed.coalesced_runs =
-        counter("service.attributed.coalesced_runs");
-    run.attributed.piggyback_pages =
-        counter("service.attributed.piggyback_pages");
-    run.attributed.buffer_hits = counter("service.attributed.buffer_hits");
-    run.attributed.buffer_faults =
-        counter("service.attributed.buffer_faults");
-    run.attributed.retries = counter("service.attributed.retries");
-    run.attributed.checksum_failures =
-        counter("service.attributed.checksum_failures");
-    run.attributed.faults_injected =
-        counter("service.attributed.faults_injected");
-    run.attributed.cache_hits = counter("cache.hits");
-    run.attributed.cache_misses = counter("cache.misses");
-    auto histogram = [&](const std::string& name) -> LogHistogram {
-      const obs::Histogram* h = service.registry().FindHistogram(name);
-      return h == nullptr ? LogHistogram() : *h;
-    };
-    run.latency_total = histogram("service.latency.total_ns");
-    run.latency_queue = histogram("service.latency.queue_ns");
-    run.latency_io = histogram("service.latency.io_ns");
-    run.latency_cpu = histogram("service.latency.cpu_ns");
+    for (const auto& [client, totals] : service.TakeSnapshot().clients) {
+      run.attributed += totals.io;
+      run.latency_total.Merge(totals.total_ns);
+      run.latency_queue.Merge(totals.queue_ns);
+      run.latency_io.Merge(totals.io_ns);
+      run.latency_cpu.Merge(totals.cpu_ns);
+    }
     if (capture && !flags.flight_path.empty()) {
       obs::JsonValue dump = obs::JsonValue::MakeObject();
       dump.Set("flight", service.flight_recorder().ToJson());
@@ -551,7 +520,6 @@ int main(int argc, char** argv) {
       run.Set("refetched_pages", merged.refetched_pages);
       run.Set("rows", merged.rows);
       run.Set("elapsed_ns", merged.elapsed_ns);
-      run.Set("registry_size", merged.registry_size);
       // Latency decomposition distributions (timings: no golden pins them).
       obs::JsonValue latency = obs::JsonValue::MakeObject();
       latency.Set("total_ns", obs::HistogramToJson(merged.latency_total));
@@ -564,7 +532,6 @@ int main(int argc, char** argv) {
       c.Set("policy", merged.cache_policy);
       run.Set("cache", std::move(c));
       run.Set("spindles", SpindlesToJson(merged.spindle_disk));
-      run.Set("registry", merged.registry);
       reporter.AddRaw(std::move(run));
     }
 

@@ -5,7 +5,6 @@
 
 #include "exec/scan.h"
 #include "exec/value.h"
-#include "obs/query_context.h"
 
 namespace cobra::cache {
 namespace {
@@ -68,7 +67,8 @@ CachedAssemblyResult AssembleThroughCache(
     return result;
   }
 
-  obs::QueryContext* query = obs::CurrentQuery();
+  // Lookup charges each outcome, counter and span, to the current query;
+  // charging it here as well would count every lookup twice.
   std::vector<ObjectCache::Ref> hits;
   std::vector<Oid> misses;
   hits.reserve(roots.size());
@@ -76,26 +76,12 @@ CachedAssemblyResult AssembleThroughCache(
     ObjectCache::Ref ref = cache->Lookup(tmpl, root);
     if (ref) {
       hits.push_back(ref);
-      if (query != nullptr) {
-        query->Record({obs::SpanEventKind::kCacheHit, 0, 0, 0, root, 0});
-      }
     } else {
       misses.push_back(root);
-      if (query != nullptr) {
-        query->Record({obs::SpanEventKind::kCacheMiss, 0, 0, 0, root, 0});
-      }
     }
   }
   result.cache_hits = hits.size();
   result.cache_misses = misses.size();
-  if (query != nullptr) {
-    // Outside the disk/buffer conservation invariant: a hit touches neither
-    // layer, a miss's page reads are charged by those layers as usual.
-    query->io.cache_hits.fetch_add(result.cache_hits,
-                                   std::memory_order_relaxed);
-    query->io.cache_misses.fetch_add(result.cache_misses,
-                                     std::memory_order_relaxed);
-  }
 
   // Hits deliver immediately from the resident copies.
   for (const ObjectCache::Ref& ref : hits) {

@@ -16,9 +16,11 @@ constexpr size_t kStripes = 8;
 }  // namespace
 
 FlightRecorder::FlightRecorder(size_t capacity)
-    : capacity_(capacity == 0 ? kStripes : capacity),
-      stripe_capacity_(std::max<size_t>(1, capacity_ / kStripes)),
-      stripes_(kStripes) {}
+    : capacity_(capacity == 0 ? kStripes : capacity) {
+  for (size_t i = 0; i < kStripes; ++i) {
+    stripes_.emplace_back(capacity_ / kStripes);
+  }
+}
 
 FlightRecorder::Stripe& FlightRecorder::StripeForThisThread() {
   size_t h = std::hash<std::thread::id>{}(std::this_thread::get_id());
@@ -28,28 +30,14 @@ FlightRecorder::Stripe& FlightRecorder::StripeForThisThread() {
 void FlightRecorder::Record(const SpanEvent& event) {
   Stripe& stripe = StripeForThisThread();
   std::lock_guard<std::mutex> lock(stripe.mu);
-  if (stripe.size < stripe_capacity_) {
-    size_t pos = (stripe.head + stripe.size) % stripe_capacity_;
-    if (pos == stripe.ring.size()) {
-      stripe.ring.push_back(event);
-    } else {
-      stripe.ring[pos] = event;
-    }
-    ++stripe.size;
-  } else {
-    stripe.ring[stripe.head] = event;
-    stripe.head = (stripe.head + 1) % stripe_capacity_;
-    ++stripe.dropped;
-  }
+  stripe.ring.Push(event);
 }
 
 std::vector<SpanEvent> FlightRecorder::Events() const {
   std::vector<SpanEvent> out;
   for (const Stripe& stripe : stripes_) {
     std::lock_guard<std::mutex> lock(stripe.mu);
-    for (size_t i = 0; i < stripe.size; ++i) {
-      out.push_back(stripe.ring[(stripe.head + i) % stripe_capacity_]);
-    }
+    stripe.ring.ForEach([&out](const SpanEvent& e) { out.push_back(e); });
   }
   std::stable_sort(out.begin(), out.end(),
                    [](const SpanEvent& a, const SpanEvent& b) {
@@ -62,7 +50,7 @@ uint64_t FlightRecorder::dropped() const {
   uint64_t total = 0;
   for (const Stripe& stripe : stripes_) {
     std::lock_guard<std::mutex> lock(stripe.mu);
-    total += stripe.dropped;
+    total += stripe.ring.dropped();
   }
   return total;
 }

@@ -18,10 +18,12 @@
 #define COBRA_OBS_FLIGHT_RECORDER_H_
 
 #include <cstdint>
+#include <deque>
 #include <mutex>
 #include <string>
 #include <vector>
 
+#include "obs/bounded_ring.h"
 #include "obs/json.h"
 #include "obs/query_context.h"
 
@@ -48,18 +50,15 @@ class FlightRecorder : public SpanSink {
 
  private:
   struct Stripe {
+    explicit Stripe(size_t capacity) : ring(capacity) {}
     mutable std::mutex mu;
-    std::vector<SpanEvent> ring;
-    size_t head = 0;
-    size_t size = 0;
-    uint64_t dropped = 0;
+    BoundedRing<SpanEvent> ring;  // guarded by mu
   };
 
   Stripe& StripeForThisThread();
 
   size_t capacity_;
-  size_t stripe_capacity_;
-  std::vector<Stripe> stripes_;
+  std::deque<Stripe> stripes_;  // deque: a Stripe holds a mutex, cannot move
 };
 
 // One span event as a flat JSON object (fixed key order: kind, ts_ns,

@@ -30,26 +30,14 @@ QueryContext::QueryContext(uint64_t query_id, std::string client,
                            size_t timeline_capacity)
     : id_(query_id),
       client_(std::move(client)),
-      capacity_(timeline_capacity == 0 ? 1 : timeline_capacity) {}
+      timeline_(timeline_capacity) {}
 
 void QueryContext::Record(SpanEvent event) {
   event.query_id = id_;
   if (event.ts_ns == 0) event.ts_ns = SpanNowNanos();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (size_ < capacity_) {
-      size_t pos = (head_ + size_) % capacity_;
-      if (pos == ring_.size()) {
-        ring_.push_back(event);
-      } else {
-        ring_[pos] = event;
-      }
-      ++size_;
-    } else {
-      ring_[head_] = event;
-      head_ = (head_ + 1) % capacity_;
-      ++dropped_;
-    }
+    timeline_.Push(event);
   }
   // Outside mu_: the sink takes its own lock and mu_ stays a leaf.
   if (SpanSink* sink = sink_.load(std::memory_order_acquire)) {
@@ -59,17 +47,12 @@ void QueryContext::Record(SpanEvent event) {
 
 std::vector<SpanEvent> QueryContext::Timeline() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<SpanEvent> out;
-  out.reserve(size_);
-  for (size_t i = 0; i < size_; ++i) {
-    out.push_back(ring_[(head_ + i) % capacity_]);
-  }
-  return out;
+  return timeline_.Items();
 }
 
 uint64_t QueryContext::timeline_dropped() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return dropped_;
+  return timeline_.dropped();
 }
 
 QueryContext* CurrentQuery() { return tls_query.get(); }

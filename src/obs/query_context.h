@@ -17,9 +17,10 @@
 // coalesced run) is charged to A; B records it under `piggyback_pages`,
 // which is informational and outside the invariant.
 //
-// This header is deliberately dependency-free (only the standard library):
-// it sits *below* storage/, buffer/ and obs/json so every layer can include
-// it without cycles.  Page ids appear as plain uint64_t for the same reason.
+// This header is deliberately dependency-free (only the standard library and
+// the standard-library-only obs/bounded_ring.h): it sits *below* storage/,
+// buffer/ and obs/json so every layer can include it without cycles.  Page
+// ids appear as plain uint64_t for the same reason.
 //
 // Overhead when no query is current: one thread-local load and a null test
 // per increment site.
@@ -35,6 +36,8 @@
 #include <mutex>
 #include <string>
 #include <vector>
+
+#include "obs/bounded_ring.h"
 
 namespace cobra::obs {
 
@@ -67,6 +70,32 @@ struct QueryIoSnapshot {
   // All-zero beyond index 0 on a single-spindle device.
   std::array<uint64_t, kMaxTrackedSpindles> spindle_reads{};
   std::array<uint64_t, kMaxTrackedSpindles> spindle_seek_pages{};
+
+  // Field-by-field sum, every field included: the one way snapshots add up.
+  QueryIoSnapshot& operator+=(const QueryIoSnapshot& other) {
+    disk_reads += other.disk_reads;
+    disk_writes += other.disk_writes;
+    read_seek_pages += other.read_seek_pages;
+    write_seek_pages += other.write_seek_pages;
+    pages_read += other.pages_read;
+    coalesced_runs += other.coalesced_runs;
+    piggyback_pages += other.piggyback_pages;
+    buffer_hits += other.buffer_hits;
+    buffer_faults += other.buffer_faults;
+    retries += other.retries;
+    checksum_failures += other.checksum_failures;
+    faults_injected += other.faults_injected;
+    cache_hits += other.cache_hits;
+    cache_misses += other.cache_misses;
+    io_wait_ns += other.io_wait_ns;
+    for (size_t i = 0; i < kMaxTrackedSpindles; ++i) {
+      spindle_reads[i] += other.spindle_reads[i];
+      spindle_seek_pages[i] += other.spindle_seek_pages[i];
+    }
+    return *this;
+  }
+
+  bool operator==(const QueryIoSnapshot&) const = default;
 };
 
 // Attributed I/O counters.  Atomic because a query's charges arrive from
@@ -213,11 +242,7 @@ class QueryContext {
   const std::string client_;
 
   mutable std::mutex mu_;
-  std::vector<SpanEvent> ring_;
-  size_t capacity_;
-  size_t head_ = 0;
-  size_t size_ = 0;
-  uint64_t dropped_ = 0;
+  BoundedRing<SpanEvent> timeline_;  // guarded by mu_
   std::atomic<SpanSink*> sink_{nullptr};
 };
 

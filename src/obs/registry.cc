@@ -52,28 +52,6 @@ const Histogram* Registry::FindHistogram(const std::string& name) const {
   return &histograms_[it->second.slot];
 }
 
-void Registry::Merge(const Registry& other) {
-  for (const auto& [name, entry] : other.index_) {
-    switch (entry.kind) {
-      case Kind::kCounter:
-        GetCounter(name)->Inc(other.counters_[entry.slot].value());
-        break;
-      case Kind::kGauge: {
-        Gauge* mine = GetGauge(name);
-        const Gauge& theirs = other.gauges_[entry.slot];
-        // Keep the high-water mark exact; the instantaneous value takes
-        // the merged-in reading (merge order is unspecified anyway).
-        mine->Set(std::max(mine->max(), theirs.max()));
-        mine->Set(theirs.value());
-        break;
-      }
-      case Kind::kHistogram:
-        GetHistogram(name)->Merge(other.histograms_[entry.slot]);
-        break;
-    }
-  }
-}
-
 JsonValue HistogramToJson(const LogHistogram& histogram) {
   JsonValue out = JsonValue::MakeObject();
   out.Set("count", histogram.count());

@@ -11,9 +11,9 @@
 //
 // Instrument pointers are stable for the registry's lifetime (stored in
 // deques), so hot paths bind once and bump a machine word per event — no
-// name lookup per update, no locks (the engine is single-threaded per run;
-// parallel assembly devices each get their own registry and Merge at the
-// end, like LogHistogram).
+// name lookup per update, no locks: a registry belongs to one
+// single-threaded run.  Concurrent service queries roll up through
+// obs::QueryTracker (obs/snapshot.h), not through a registry.
 
 #ifndef COBRA_OBS_REGISTRY_H_
 #define COBRA_OBS_REGISTRY_H_
@@ -72,11 +72,6 @@ class Registry {
   // instrument kind.  For tests and exporters that must not create.
   const Counter* FindCounter(const std::string& name) const;
   const Histogram* FindHistogram(const std::string& name) const;
-
-  // Accumulates every instrument of `other` into this registry (counters
-  // add, gauges take max-of-max / last value, histograms Merge).  Used by
-  // multi-device runs to combine per-device registries.
-  void Merge(const Registry& other);
 
   size_t size() const { return index_.size(); }
 

@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "obs/flight_recorder.h"
+#include "obs/registry.h"
 
 namespace cobra::obs {
 namespace {
@@ -17,22 +18,6 @@ void AppendLine(std::string* out, const char* format, ...) {
   *out += line;
 }
 
-void AccumulateIo(QueryIoSnapshot* total, const QueryIoSnapshot& part) {
-  total->disk_reads += part.disk_reads;
-  total->disk_writes += part.disk_writes;
-  total->read_seek_pages += part.read_seek_pages;
-  total->write_seek_pages += part.write_seek_pages;
-  total->pages_read += part.pages_read;
-  total->coalesced_runs += part.coalesced_runs;
-  total->piggyback_pages += part.piggyback_pages;
-  total->buffer_hits += part.buffer_hits;
-  total->buffer_faults += part.buffer_faults;
-  total->retries += part.retries;
-  total->checksum_failures += part.checksum_failures;
-  total->faults_injected += part.faults_injected;
-  total->io_wait_ns += part.io_wait_ns;
-}
-
 }  // namespace
 
 void QueryTracker::Register(const std::shared_ptr<QueryContext>& ctx) {
@@ -40,18 +25,22 @@ void QueryTracker::Register(const std::shared_ptr<QueryContext>& ctx) {
   live_.emplace(ctx->query_id(), ctx);
 }
 
-void QueryTracker::Complete(const std::shared_ptr<QueryContext>& ctx,
-                            uint64_t rows, bool ok, uint64_t total_ns) {
+void QueryTracker::Complete(const QueryContext& ctx,
+                            const FinishedQuery& query) {
   std::lock_guard<std::mutex> lock(mu_);
-  live_.erase(ctx->query_id());
+  live_.erase(ctx.query_id());
   completed_++;
-  if (!ok) failed_++;
-  ClientTotals& totals = clients_[ctx->client()];
+  if (!query.ok) failed_++;
+  ClientTotals& totals = clients_[ctx.client()];
   totals.jobs++;
-  if (!ok) totals.failures++;
-  totals.rows += rows;
-  totals.total_ns += total_ns;
-  AccumulateIo(&totals.io, ctx->io.Snapshot());
+  if (!query.ok) totals.failures++;
+  totals.rows += query.rows;
+  totals.objects_dropped += query.objects_dropped;
+  totals.queue_ns.Add(query.queue_ns);
+  totals.io_ns.Add(query.io_ns);
+  totals.cpu_ns.Add(query.cpu_ns);
+  totals.total_ns.Add(query.queue_ns + query.io_ns + query.cpu_ns);
+  totals.io += query.io;
 }
 
 Snapshot QueryTracker::TakeSnapshot() const {
@@ -74,11 +63,6 @@ Snapshot QueryTracker::TakeSnapshot() const {
   }
   snap.clients.assign(clients_.begin(), clients_.end());
   return snap;
-}
-
-uint64_t QueryTracker::completed() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return completed_;
 }
 
 JsonValue Snapshot::ToJson() const {
@@ -105,7 +89,13 @@ JsonValue Snapshot::ToJson() const {
     j.Set("jobs", totals.jobs);
     j.Set("failures", totals.failures);
     j.Set("rows", totals.rows);
-    j.Set("total_ns", totals.total_ns);
+    j.Set("objects_dropped", totals.objects_dropped);
+    JsonValue latency = JsonValue::MakeObject();
+    latency.Set("total_ns", HistogramToJson(totals.total_ns));
+    latency.Set("queue_ns", HistogramToJson(totals.queue_ns));
+    latency.Set("io_ns", HistogramToJson(totals.io_ns));
+    latency.Set("cpu_ns", HistogramToJson(totals.cpu_ns));
+    j.Set("latency", std::move(latency));
     j.Set("io", QueryIoSnapshotToJson(totals.io));
     by_client.Set(name, std::move(j));
   }
@@ -160,7 +150,7 @@ std::string Snapshot::ToText() const {
                  static_cast<unsigned long long>(t.io.disk_reads),
                  static_cast<unsigned long long>(t.io.read_seek_pages),
                  static_cast<unsigned long long>(t.io.buffer_faults),
-                 static_cast<double>(t.total_ns) / 1e6);
+                 static_cast<double>(t.total_ns.total()) / 1e6);
     }
   }
   AppendLine(&out,

@@ -23,6 +23,7 @@
 
 #include "obs/json.h"
 #include "obs/query_context.h"
+#include "stats/histogram.h"
 
 namespace cobra::obs {
 
@@ -46,12 +47,30 @@ struct QuerySnapshot {
   QueryIoSnapshot io;
 };
 
+// One client's finished queries, each added once by QueryTracker::Complete.
+// Every latency histogram holds one sample per query; total_ns.total() is
+// the summed latency, and total == queue + io + cpu per sample.
 struct ClientTotals {
   uint64_t jobs = 0;
   uint64_t failures = 0;
   uint64_t rows = 0;
-  uint64_t total_ns = 0;  // summed query latency
-  QueryIoSnapshot io;     // summed attributed I/O
+  uint64_t objects_dropped = 0;
+  LogHistogram queue_ns;
+  LogHistogram io_ns;
+  LogHistogram cpu_ns;
+  LogHistogram total_ns;
+  QueryIoSnapshot io;  // summed attributed I/O
+};
+
+// What a finished query contributes to its client's totals.
+struct FinishedQuery {
+  bool ok = true;
+  uint64_t rows = 0;
+  uint64_t objects_dropped = 0;
+  uint64_t queue_ns = 0;
+  uint64_t io_ns = 0;
+  uint64_t cpu_ns = 0;
+  QueryIoSnapshot io;
 };
 
 struct Snapshot {
@@ -67,18 +86,15 @@ struct Snapshot {
 };
 
 // Tracks contexts from Submit to completion and accumulates per-client
-// totals.  Thread-safe; the service registers on Submit and completes from
-// worker threads.
+// totals: the one rollup of finished queries.  Thread-safe; the service
+// registers on Submit and completes from worker threads.
 class QueryTracker {
  public:
   void Register(const std::shared_ptr<QueryContext>& ctx);
-  void Complete(const std::shared_ptr<QueryContext>& ctx, uint64_t rows,
-                bool ok, uint64_t total_ns);
+  void Complete(const QueryContext& ctx, const FinishedQuery& query);
 
   // Fills everything except `pool` (the caller owns the buffer layer).
   Snapshot TakeSnapshot() const;
-
-  uint64_t completed() const;
 
  private:
   mutable std::mutex mu_;

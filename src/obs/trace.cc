@@ -40,26 +40,7 @@ const char* TraceEventKindName(TraceEvent::Kind kind) {
 }
 
 TraceRecorder::TraceRecorder(const Clock* clock, size_t capacity)
-    : clock_(OrDefault(clock)), capacity_(capacity == 0 ? 1 : capacity) {
-  ring_.reserve(std::min(capacity_, size_t{4096}));
-}
-
-void TraceRecorder::Push(TraceEvent event) {
-  if (size_ < capacity_) {
-    size_t pos = (head_ + size_) % capacity_;
-    if (pos == ring_.size()) {
-      ring_.push_back(event);
-    } else {
-      ring_[pos] = event;
-    }
-    ++size_;
-  } else {
-    // Full: overwrite (and drop) the oldest event, keep the tail.
-    ring_[head_] = event;
-    head_ = (head_ + 1) % capacity_;
-    ++dropped_;
-  }
-}
+    : clock_(OrDefault(clock)), ring_(capacity, /*reserve=*/4096) {}
 
 int TraceRecorder::AcquireLane() {
   for (size_t i = 0; i < lane_in_use_.size(); ++i) {
@@ -128,7 +109,7 @@ void TraceRecorder::OnEvent(const AssemblyEvent& event) {
       break;
     }
   }
-  Push(out);
+  ring_.Push(out);
 }
 
 void TraceRecorder::OnDiskRead(PageId page, uint64_t seek_pages) {
@@ -159,7 +140,7 @@ void TraceRecorder::OnDiskReadRunAt(uint32_t spindle, PageId first_page,
   out.run_pages = pages == 0 ? 1 : pages;
   out.query_id = CurrentQueryId();
   out.spindle = spindle;
-  Push(out);
+  ring_.Push(out);
 }
 
 void TraceRecorder::OnDiskWriteAt(uint32_t spindle, PageId page,
@@ -171,7 +152,7 @@ void TraceRecorder::OnDiskWriteAt(uint32_t spindle, PageId page,
   out.seek_pages = seek_pages;
   out.query_id = CurrentQueryId();
   out.spindle = spindle;
-  Push(out);
+  ring_.Push(out);
 }
 
 void TraceRecorder::OnBufferHit(PageId page) {
@@ -179,7 +160,7 @@ void TraceRecorder::OnBufferHit(PageId page) {
   out.kind = TraceEvent::Kind::kBufferHit;
   out.ts_ns = clock_->NowNanos();
   out.page = page;
-  Push(out);
+  ring_.Push(out);
 }
 
 void TraceRecorder::OnBufferFault(PageId page) {
@@ -187,7 +168,7 @@ void TraceRecorder::OnBufferFault(PageId page) {
   out.kind = TraceEvent::Kind::kBufferFault;
   out.ts_ns = clock_->NowNanos();
   out.page = page;
-  Push(out);
+  ring_.Push(out);
 }
 
 void TraceRecorder::OnBufferEviction(PageId page, bool dirty) {
@@ -196,7 +177,7 @@ void TraceRecorder::OnBufferEviction(PageId page, bool dirty) {
   out.ts_ns = clock_->NowNanos();
   out.page = page;
   out.seek_pages = dirty ? 1 : 0;  // reuse the field: 1 = dirty write-back
-  Push(out);
+  ring_.Push(out);
 }
 
 void TraceRecorder::OnWalFlush(wal::Lsn durable_lsn, size_t pages,
@@ -208,7 +189,7 @@ void TraceRecorder::OnWalFlush(wal::Lsn durable_lsn, size_t pages,
   out.run_pages = pages == 0 ? 1 : pages;
   out.seek_pages = records;
   out.page = bytes;
-  Push(out);
+  ring_.Push(out);
 }
 
 void TraceRecorder::OnCacheHit(Oid root) {
@@ -217,7 +198,7 @@ void TraceRecorder::OnCacheHit(Oid root) {
   out.ts_ns = clock_->NowNanos();
   out.oid = root;
   out.query_id = CurrentQueryId();
-  Push(out);
+  ring_.Push(out);
 }
 
 void TraceRecorder::OnCacheMiss(Oid root) {
@@ -226,7 +207,7 @@ void TraceRecorder::OnCacheMiss(Oid root) {
   out.ts_ns = clock_->NowNanos();
   out.oid = root;
   out.query_id = CurrentQueryId();
-  Push(out);
+  ring_.Push(out);
 }
 
 void TraceRecorder::OnCacheInvalidate(Oid root, PageId page) {
@@ -235,7 +216,7 @@ void TraceRecorder::OnCacheInvalidate(Oid root, PageId page) {
   out.ts_ns = clock_->NowNanos();
   out.oid = root;
   out.page = page;
-  Push(out);
+  ring_.Push(out);
 }
 
 void TraceRecorder::OnCachePatch(Oid oid, PageId page) {
@@ -244,22 +225,15 @@ void TraceRecorder::OnCachePatch(Oid oid, PageId page) {
   out.ts_ns = clock_->NowNanos();
   out.oid = oid;
   out.page = page;
-  Push(out);
+  ring_.Push(out);
 }
 
 std::vector<TraceEvent> TraceRecorder::Events() const {
-  std::vector<TraceEvent> out;
-  out.reserve(size_);
-  for (size_t i = 0; i < size_; ++i) {
-    out.push_back(ring_[(head_ + i) % capacity_]);
-  }
-  return out;
+  return ring_.Items();
 }
 
 void TraceRecorder::Clear() {
-  head_ = 0;
-  size_ = 0;
-  dropped_ = 0;
+  ring_.Clear();
   live_.clear();
   lane_in_use_.clear();
   num_lanes_ = 0;
@@ -290,8 +264,7 @@ JsonValue TraceRecorder::ToChromeTrace() const {
 
   auto micros = [](uint64_t ns) { return static_cast<double>(ns) / 1000.0; };
 
-  for (size_t i = 0; i < size_; ++i) {
-    const TraceEvent& event = ring_[(head_ + i) % capacity_];
+  ring_.ForEach([&](const TraceEvent& event) {
     JsonValue e = JsonValue::MakeObject();
     e.Set("pid", 1);
     JsonValue args = JsonValue::MakeObject();
@@ -406,13 +379,13 @@ JsonValue TraceRecorder::ToChromeTrace() const {
     }
     e.Set("args", std::move(args));
     events.Append(std::move(e));
-  }
+  });
 
   JsonValue trace = JsonValue::MakeObject();
   trace.Set("traceEvents", std::move(events));
   trace.Set("displayTimeUnit", "ms");
   JsonValue other = JsonValue::MakeObject();
-  other.Set("dropped_events", dropped_);
+  other.Set("dropped_events", ring_.dropped());
   trace.Set("otherData", std::move(other));
   return trace;
 }

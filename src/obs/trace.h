@@ -32,6 +32,7 @@
 #include "assembly/assembly_operator.h"
 #include "buffer/buffer_manager.h"
 #include "cache/cache_events.h"
+#include "obs/bounded_ring.h"
 #include "obs/clock.h"
 #include "obs/json.h"
 #include "storage/disk.h"
@@ -123,10 +124,10 @@ class TraceRecorder : public AssemblyObserver,
   void OnCacheInvalidate(Oid root, PageId page) override;
   void OnCachePatch(Oid oid, PageId page) override;
 
-  size_t capacity() const { return capacity_; }
-  size_t size() const { return size_; }
+  size_t capacity() const { return ring_.capacity(); }
+  size_t size() const { return ring_.size(); }
   // Events that fell off the front of the ring.
-  uint64_t dropped() const { return dropped_; }
+  uint64_t dropped() const { return ring_.dropped(); }
   // Highest window-slot lane ever used + 1.
   int num_lanes() const { return num_lanes_; }
 
@@ -148,16 +149,11 @@ class TraceRecorder : public AssemblyObserver,
     uint64_t admit_ns = 0;
   };
 
-  void Push(TraceEvent event);
   // Lowest free lane; lanes are recycled so W slots yield W lanes.
   int AcquireLane();
 
   const Clock* clock_;
-  size_t capacity_;
-  std::vector<TraceEvent> ring_;
-  size_t head_ = 0;  // index of the oldest retained event
-  size_t size_ = 0;
-  uint64_t dropped_ = 0;
+  BoundedRing<TraceEvent> ring_;
 
   std::unordered_map<uint64_t, LiveComplex> live_;
   std::vector<bool> lane_in_use_;

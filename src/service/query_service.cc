@@ -118,12 +118,11 @@ void QueryService::WorkerLoop() {
     const std::shared_ptr<obs::QueryContext>& ctx = task.ctx;
     const uint64_t start = obs::SpanNowNanos();
     ctx->start_ns.store(start, std::memory_order_relaxed);
-    obs::Registry job_registry;
-    std::string explain;
+    uint64_t batches = 0;
     QueryResult result;
     {
       obs::ScopedQueryContext scope(ctx);
-      result = Execute(task.job, &job_registry, &explain);
+      result = Execute(task.job, &batches);
     }
     const uint64_t end = obs::SpanNowNanos();
     ctx->end_ns.store(end, std::memory_order_relaxed);
@@ -142,9 +141,16 @@ void QueryService::WorkerLoop() {
     result.cpu_ns = exec - result.io_ns;
     result.total_ns = result.queue_ns + exec;
 
-    Account(result, job_registry);
-    tracker_.Complete(ctx, result.rows, result.status.ok(), result.total_ns);
-    MaybeReportSlow(ctx, result, std::move(explain));
+    // Before the promise and before running_ drops: a ready future, and a
+    // returned Drain(), both find the query in TakeSnapshot().
+    tracker_.Complete(*ctx, {.ok = result.status.ok(),
+                             .rows = result.rows,
+                             .objects_dropped = result.assembly.objects_dropped,
+                             .queue_ns = result.queue_ns,
+                             .io_ns = result.io_ns,
+                             .cpu_ns = result.cpu_ns,
+                             .io = result.io});
+    MaybeReportSlow(*ctx, task.job, result, batches);
     task.promise.set_value(std::move(result));
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -177,7 +183,6 @@ WriteResult QueryService::ExecuteWrite(const WriteJob& job) {
   // must never drop (or patch) while the transaction can still abort — undo
   // would restore the pages but not the cache.
   std::vector<cache::CommittedWrite> cache_ops;
-  cache::WriteEffect cache_effect;
   {
     std::unique_lock<std::shared_mutex> lock(store_mu_);
     store.set_next_oid(next_write_oid_);
@@ -253,7 +258,7 @@ WriteResult QueryService::ExecuteWrite(const WriteJob& job) {
       // entry drops before the outcome is decided.  The durability wait
       // below happens after — a crash between commit record and here just
       // means recovery restarts with a cold (trivially consistent) cache.
-      cache_effect = options_.cache->ApplyCommittedWrite(cache_ops);
+      options_.cache->ApplyCommittedWrite(cache_ops);
     }
     next_write_oid_ = store.next_oid();
   }
@@ -263,27 +268,10 @@ WriteResult QueryService::ExecuteWrite(const WriteJob& job) {
     status = store.CommitTxn(result.txn);
   }
   result.status = status;
-  {
-    std::lock_guard<std::mutex> lock(agg_mu_);
-    aggregate_.GetCounter("service.writes_submitted")->Inc();
-    aggregate_.GetCounter("service.write_ops")->Inc(result.ops_applied);
-    if (result.aborted) {
-      aggregate_.GetCounter("service.writes_aborted")->Inc();
-    } else if (status.ok()) {
-      aggregate_.GetCounter("service.writes_committed")->Inc();
-    }
-    if (!status.ok()) {
-      aggregate_.GetCounter("service.writes_failed")->Inc();
-    }
-    aggregate_.GetCounter("cache.invalidations")
-        ->Inc(cache_effect.invalidated);
-    aggregate_.GetCounter("cache.patches")->Inc(cache_effect.patched);
-  }
   return result;
 }
 
-QueryResult QueryService::Execute(QueryJob& job, obs::Registry* job_registry,
-                                  std::string* explain) {
+QueryResult QueryService::Execute(QueryJob& job, uint64_t* batches) {
   // Shared side of the writer lock: assembly reads race only with other
   // readers; write transactions are exclusive.
   std::shared_lock<std::shared_mutex> store_lock(store_mu_);
@@ -297,111 +285,24 @@ QueryResult QueryService::Execute(QueryJob& job, obs::Registry* job_registry,
   // not be shared across workers.  Buffer and directory are the shared,
   // thread-safe layers underneath.
   ObjectStore store(buffer_, directory_);
-  const size_t num_roots = job.roots.size();
-  obs::RegistryPublisher publisher(job_registry);
-  const uint64_t exec_begin = obs::SpanNowNanos();
   // With no cache configured this is the historical drain, operator for
   // operator; with one, hits are served from resident copies and only the
   // miss set is assembled (still under the shared store lock, so cached and
   // fresh values are mutually consistent).
   cache::CachedAssemblyResult assembled = cache::AssembleThroughCache(
       options_.cache, job.tmpl, &store, job.roots, job.assembly,
-      job.batch_size, &publisher, job.on_object);
+      job.batch_size, /*observer=*/nullptr, job.on_object);
   result.status = assembled.status;
   result.rows = assembled.rows;
   result.assembly = assembled.assembly;
-  const uint64_t batches = assembled.batches;
-  job_registry->GetCounter("cache.hits")->Inc(assembled.cache_hits);
-  job_registry->GetCounter("cache.misses")->Inc(assembled.cache_misses);
-  const uint64_t exec_ns = obs::SpanNowNanos() - exec_begin;
-
-  // EXPLAIN ANALYZE summary of the executed (fixed-shape) plan, kept for
-  // the slow-query report.
-  if (explain != nullptr) {
-    const AssemblyStats& s = result.assembly;
-    char line[256];
-    std::snprintf(line, sizeof(line),
-                  "Assembly(window=%zu, scheduler=%s, io_batch=%zu) "
-                  "(rows=%llu batches=%llu time=%.3fms)\n",
-                  job.assembly.window_size,
-                  SchedulerKindName(job.assembly.scheduler),
-                  job.assembly.io_batch_pages,
-                  static_cast<unsigned long long>(result.rows),
-                  static_cast<unsigned long long>(batches),
-                  static_cast<double>(exec_ns) / 1e6);
-    *explain += line;
-    std::snprintf(line, sizeof(line),
-                  "  fetched=%llu shared_hits=%llu prebuilt_hits=%llu "
-                  "refs=%llu admitted=%llu emitted=%llu aborted=%llu "
-                  "dropped=%llu\n",
-                  static_cast<unsigned long long>(s.objects_fetched),
-                  static_cast<unsigned long long>(s.shared_hits),
-                  static_cast<unsigned long long>(s.prebuilt_hits),
-                  static_cast<unsigned long long>(s.refs_resolved),
-                  static_cast<unsigned long long>(s.complex_admitted),
-                  static_cast<unsigned long long>(s.complex_emitted),
-                  static_cast<unsigned long long>(s.complex_aborted),
-                  static_cast<unsigned long long>(s.objects_dropped));
-    *explain += line;
-    std::snprintf(line, sizeof(line), "  -> VectorScan(roots=%zu)\n",
-                  num_roots);
-    *explain += line;
-  }
+  *batches = assembled.batches;
   return result;
 }
 
-void QueryService::Account(const QueryResult& result,
-                           const obs::Registry& job_registry) {
-  std::lock_guard<std::mutex> lock(agg_mu_);
-  aggregate_.Merge(job_registry);
-  aggregate_.GetCounter("service.jobs_completed")->Inc();
-  if (!result.status.ok()) {
-    aggregate_.GetCounter("service.jobs_failed")->Inc();
-  }
-  aggregate_.GetCounter("service.rows")->Inc(result.rows);
-  aggregate_.GetCounter("service.objects_dropped")
-      ->Inc(result.assembly.objects_dropped);
-  // Latency decomposition distributions.
-  aggregate_.GetHistogram("service.latency.total_ns")->Add(result.total_ns);
-  aggregate_.GetHistogram("service.latency.queue_ns")->Add(result.queue_ns);
-  aggregate_.GetHistogram("service.latency.io_ns")->Add(result.io_ns);
-  aggregate_.GetHistogram("service.latency.cpu_ns")->Add(result.cpu_ns);
-  // Per-query attribution rolled up service-wide; under the conservation
-  // invariant these equal the disk/buffer deltas of the same window.
-  const obs::QueryIoSnapshot& io = result.io;
-  aggregate_.GetCounter("service.attributed.disk_reads")->Inc(io.disk_reads);
-  aggregate_.GetCounter("service.attributed.disk_writes")
-      ->Inc(io.disk_writes);
-  aggregate_.GetCounter("service.attributed.read_seek_pages")
-      ->Inc(io.read_seek_pages);
-  aggregate_.GetCounter("service.attributed.write_seek_pages")
-      ->Inc(io.write_seek_pages);
-  aggregate_.GetCounter("service.attributed.pages_read")->Inc(io.pages_read);
-  aggregate_.GetCounter("service.attributed.coalesced_runs")
-      ->Inc(io.coalesced_runs);
-  aggregate_.GetCounter("service.attributed.piggyback_pages")
-      ->Inc(io.piggyback_pages);
-  aggregate_.GetCounter("service.attributed.buffer_hits")
-      ->Inc(io.buffer_hits);
-  aggregate_.GetCounter("service.attributed.buffer_faults")
-      ->Inc(io.buffer_faults);
-  aggregate_.GetCounter("service.attributed.retries")->Inc(io.retries);
-  aggregate_.GetCounter("service.attributed.checksum_failures")
-      ->Inc(io.checksum_failures);
-  aggregate_.GetCounter("service.attributed.faults_injected")
-      ->Inc(io.faults_injected);
-  const std::string prefix = "service.client." + result.client;
-  aggregate_.GetCounter(prefix + ".jobs")->Inc();
-  aggregate_.GetCounter(prefix + ".rows")->Inc(result.rows);
-  aggregate_.GetCounter(prefix + ".objects_dropped")
-      ->Inc(result.assembly.objects_dropped);
-  aggregate_.GetHistogram(prefix + ".latency.total_ns")
-      ->Add(result.total_ns);
-}
-
-void QueryService::MaybeReportSlow(
-    const std::shared_ptr<obs::QueryContext>& ctx, const QueryResult& result,
-    std::string explain) {
+void QueryService::MaybeReportSlow(const obs::QueryContext& ctx,
+                                   const QueryJob& job,
+                                   const QueryResult& result,
+                                   uint64_t batches) {
   const uint64_t exec_ns = result.io_ns + result.cpu_ns;
   const bool slow =
       options_.slow_query_ns > 0 && exec_ns >= options_.slow_query_ns;
@@ -421,9 +322,37 @@ void QueryService::MaybeReportSlow(
   report.io_ns = result.io_ns;
   report.cpu_ns = result.cpu_ns;
   report.io = result.io;
-  report.explain = std::move(explain);
-  report.timeline = ctx->Timeline();
-  report.timeline_dropped = ctx->timeline_dropped();
+  // EXPLAIN ANALYZE summary of the executed (fixed-shape) plan.
+  const AssemblyStats& s = result.assembly;
+  char line[256];
+  std::snprintf(line, sizeof(line),
+                "Assembly(window=%zu, scheduler=%s, io_batch=%zu) "
+                "(rows=%llu batches=%llu time=%.3fms)\n",
+                job.assembly.window_size,
+                SchedulerKindName(job.assembly.scheduler),
+                job.assembly.io_batch_pages,
+                static_cast<unsigned long long>(result.rows),
+                static_cast<unsigned long long>(batches),
+                static_cast<double>(exec_ns) / 1e6);
+  report.explain += line;
+  std::snprintf(line, sizeof(line),
+                "  fetched=%llu shared_hits=%llu prebuilt_hits=%llu "
+                "refs=%llu admitted=%llu emitted=%llu aborted=%llu "
+                "dropped=%llu\n",
+                static_cast<unsigned long long>(s.objects_fetched),
+                static_cast<unsigned long long>(s.shared_hits),
+                static_cast<unsigned long long>(s.prebuilt_hits),
+                static_cast<unsigned long long>(s.refs_resolved),
+                static_cast<unsigned long long>(s.complex_admitted),
+                static_cast<unsigned long long>(s.complex_emitted),
+                static_cast<unsigned long long>(s.complex_aborted),
+                static_cast<unsigned long long>(s.objects_dropped));
+  report.explain += line;
+  std::snprintf(line, sizeof(line), "  -> VectorScan(roots=%zu)\n",
+                job.roots.size());
+  report.explain += line;
+  report.timeline = ctx.Timeline();
+  report.timeline_dropped = ctx.timeline_dropped();
   std::lock_guard<std::mutex> lock(reports_mu_);
   slow_reports_.push_back(std::move(report));
   while (slow_reports_.size() > kMaxSlowReports) {

@@ -9,29 +9,26 @@
 // the cross-client elevator queue, so concurrent windows merge into one arm
 // sweep (see storage/async_disk.h).
 //
-// Isolation model:
-//   * each job gets its own ObjectStore view (ObjectStore::Get mutates its
-//     stats; sharing one instance across threads would race) over the shared
-//     BufferManager + Directory;
-//   * each job publishes assembly events into a job-local obs::Registry
-//     (registries are single-threaded by design) which the service Merges
-//     into one aggregate registry under a lock when the job finishes;
-//   * per-client counters land under "service.client.<name>." and service
-//     totals under "service." in the aggregate registry.
+// Isolation model: each job gets its own ObjectStore view (ObjectStore::Get
+// mutates its stats; sharing one instance across threads would race) over
+// the shared BufferManager + Directory.  Assembly runs with no observer; the
+// job's QueryResult carries the operator's counts.
 //
 // Attribution: Submit opens an obs::QueryContext per job; the worker
 // establishes it around execution, so every disk read, seek, retry and
 // fault the job causes — including through AsyncDisk's queue — is charged
 // to that query (see obs/query_context.h for the conservation invariant).
-// The context feeds the service's always-on FlightRecorder; completion
-// stamps the latency decomposition (queue / io / cpu) into per-service and
-// per-client LogHistograms, and a query that trips the slow-query trigger
-// (latency threshold, injected fault, or error) leaves a SlowQueryReport
-// with its EXPLAIN ANALYZE summary and attributed I/O timeline.
+// The context feeds the service's always-on FlightRecorder.  Completion
+// stamps the latency decomposition (queue / io / cpu) and adds the query
+// once to its client's totals in the obs::QueryTracker, the only rollup of
+// finished queries (TakeSnapshot reads it).  A query that trips the
+// slow-query trigger (latency threshold, injected fault, or error) leaves a
+// SlowQueryReport with its EXPLAIN ANALYZE summary and attributed I/O
+// timeline.
 //
-// Read the aggregate registry and the shared pool/disk stats only when the
-// service is quiesced (Drain() returned and no new jobs submitted).
-// TakeSnapshot() is the exception: it is safe while queries run.
+// Read the shared pool/disk stats only when the service is quiesced
+// (Drain() returned and no new jobs submitted).  TakeSnapshot() is safe
+// while queries run.
 
 #ifndef COBRA_SERVICE_QUERY_SERVICE_H_
 #define COBRA_SERVICE_QUERY_SERVICE_H_
@@ -59,9 +56,7 @@
 #include "object/object.h"
 #include "obs/flight_recorder.h"
 #include "obs/query_context.h"
-#include "obs/registry.h"
 #include "obs/snapshot.h"
-#include "obs/telemetry.h"
 #include "storage/async_disk.h"
 #include "wal/wal.h"
 
@@ -287,12 +282,6 @@ class QueryService {
   size_t num_workers() const { return workers_.size(); }
   size_t active_jobs() const;
 
-  // Aggregate metrics: job-local assembly registries merged in completion
-  // order plus service.* / service.client.<name>.* instruments (including
-  // the service.latency.* histograms and service.attributed.* counters).
-  // Quiesce (Drain) before reading.
-  const obs::Registry& registry() const { return aggregate_; }
-
   // The always-on event ring; read it quiesced for a stable view, or live
   // for a best-effort one (Record is thread-safe).
   const obs::FlightRecorder& flight_recorder() const { return flight_; }
@@ -302,7 +291,10 @@ class QueryService {
   std::vector<obs::SlowQueryReport> slow_reports() const;
 
   // Live view: in-flight queries with their attributed I/O so far,
-  // per-client cumulative totals, and buffer-pool residency.
+  // per-client cumulative totals (jobs, rows, dropped objects, attributed
+  // I/O and latency histograms), and buffer-pool residency.  Every query
+  // whose future is ready, and after Drain() every submitted query, is in
+  // the totals.
   obs::Snapshot TakeSnapshot() const;
 
   // Runs `fn` holding the shared (reader) side of the store lock: `fn` can
@@ -323,11 +315,10 @@ class QueryService {
   };
 
   void WorkerLoop();
-  QueryResult Execute(QueryJob& job, obs::Registry* job_registry,
-                      std::string* explain);
-  void Account(const QueryResult& result, const obs::Registry& job_registry);
-  void MaybeReportSlow(const std::shared_ptr<obs::QueryContext>& ctx,
-                       const QueryResult& result, std::string explain);
+  // `batches` receives the NextBatch calls that produced rows.
+  QueryResult Execute(QueryJob& job, uint64_t* batches);
+  void MaybeReportSlow(const obs::QueryContext& ctx, const QueryJob& job,
+                       const QueryResult& result, uint64_t batches);
 
   BufferManager* buffer_;
   Directory* directory_;
@@ -346,9 +337,6 @@ class QueryService {
   std::deque<Task> queue_;
   size_t running_ = 0;
   bool stop_ = false;
-
-  std::mutex agg_mu_;
-  obs::Registry aggregate_;
 
   std::atomic<uint64_t> next_query_id_{1};
   obs::FlightRecorder flight_;

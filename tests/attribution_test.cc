@@ -13,10 +13,13 @@
 #include <algorithm>
 #include <functional>
 #include <future>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "buffer/buffer_manager.h"
+#include "cache/object_cache.h"
 #include "obs/flight_recorder.h"
 #include "obs/query_context.h"
 #include "obs/trace.h"
@@ -36,22 +39,6 @@ struct ServiceRun {
   BufferStats buffer;
 };
 
-void SumInto(obs::QueryIoSnapshot* total, const obs::QueryIoSnapshot& io) {
-  total->disk_reads += io.disk_reads;
-  total->disk_writes += io.disk_writes;
-  total->read_seek_pages += io.read_seek_pages;
-  total->write_seek_pages += io.write_seek_pages;
-  total->pages_read += io.pages_read;
-  total->coalesced_runs += io.coalesced_runs;
-  total->piggyback_pages += io.piggyback_pages;
-  total->buffer_hits += io.buffer_hits;
-  total->buffer_faults += io.buffer_faults;
-  total->retries += io.retries;
-  total->checksum_failures += io.checksum_failures;
-  total->faults_injected += io.faults_injected;
-  total->io_wait_ns += io.io_wait_ns;
-}
-
 struct RunConfig {
   size_t clients = 1;
   size_t workers = 2;
@@ -60,13 +47,17 @@ struct RunConfig {
   uint64_t slow_query_ns = 0;
   size_t flight_capacity = 4096;
   ErrorPolicy error_policy = ErrorPolicy::kFailQuery;
+  // Each client submits its slice once per round; a round starts when the
+  // previous one has finished.
+  size_t rounds = 1;
+  cache::ObjectCache* cache = nullptr;  // borrowed; null runs uncached
   // Callback run while the service is alive and quiesced.
   std::function<void(service::QueryService*)> inspect;
 };
 
 // Runs `clients` slices of the database's roots concurrently through a
 // QueryService over AsyncDisk + sharded pool, and captures both sides of
-// the conservation equation.
+// the conservation equation.  `results` is in submission order.
 ServiceRun RunService(AcobDatabase* db, const RunConfig& config) {
   EXPECT_TRUE(db->ColdRestart().ok());
   ServiceRun run;
@@ -81,25 +72,28 @@ ServiceRun RunService(AcobDatabase* db, const RunConfig& config) {
     sopts.async_disk = &async;
     sopts.slow_query_ns = config.slow_query_ns;
     sopts.flight_capacity = config.flight_capacity;
+    sopts.cache = config.cache;
     service::QueryService service(&pool, db->directory.get(), sopts);
 
-    std::vector<std::future<service::QueryResult>> futures;
     const size_t n = db->roots.size();
-    for (size_t c = 0; c < config.clients; ++c) {
-      service::QueryJob job;
-      job.client = "c" + std::to_string(c);
-      job.tmpl = &db->tmpl;
-      job.roots.assign(db->roots.begin() + n * c / config.clients,
-                       db->roots.begin() + n * (c + 1) / config.clients);
-      job.assembly.window_size = 25;
-      job.assembly.scheduler = SchedulerKind::kElevator;
-      job.assembly.io_batch_pages = config.io_batch;
-      job.assembly.error_policy = config.error_policy;
-      futures.push_back(service.Submit(std::move(job)));
-    }
-    for (auto& future : futures) {
-      run.results.push_back(future.get());
-      SumInto(&run.attributed, run.results.back().io);
+    for (size_t round = 0; round < config.rounds; ++round) {
+      std::vector<std::future<service::QueryResult>> futures;
+      for (size_t c = 0; c < config.clients; ++c) {
+        service::QueryJob job;
+        job.client = "c" + std::to_string(c);
+        job.tmpl = &db->tmpl;
+        job.roots.assign(db->roots.begin() + n * c / config.clients,
+                         db->roots.begin() + n * (c + 1) / config.clients);
+        job.assembly.window_size = 25;
+        job.assembly.scheduler = SchedulerKind::kElevator;
+        job.assembly.io_batch_pages = config.io_batch;
+        job.assembly.error_policy = config.error_policy;
+        futures.push_back(service.Submit(std::move(job)));
+      }
+      for (auto& future : futures) {
+        run.results.push_back(future.get());
+        run.attributed += run.results.back().io;
+      }
     }
     service.Drain();
     async.Drain();
@@ -127,11 +121,13 @@ void ExpectConservation(const ServiceRun& run) {
 
 std::unique_ptr<AcobDatabase> BuildDb(
     size_t objects, uint64_t seed = 42, bool faults = false,
-    Clustering clustering = Clustering::kUnclustered) {
+    Clustering clustering = Clustering::kUnclustered,
+    DiskGeometry geometry = {}) {
   AcobOptions options;
   options.num_complex_objects = objects;
   options.clustering = clustering;
   options.seed = seed;
+  options.geometry = geometry;
   if (faults) options.faults = FaultProfile::Mixed(/*seed=*/7);
   auto built = BuildAcobDatabase(options);
   EXPECT_TRUE(built.ok());
@@ -318,7 +314,7 @@ TEST(Attribution, SnapshotAggregatesClientsAndPool) {
     }
     EXPECT_EQ(snapshot.clients[i].second.jobs, 1u);
     rows += snapshot.clients[i].second.rows;
-    SumInto(&totals, snapshot.clients[i].second.io);
+    totals += snapshot.clients[i].second.io;
   }
   EXPECT_EQ(rows, expected_rows);
   EXPECT_EQ(totals.disk_reads, run.attributed.disk_reads);
@@ -362,31 +358,109 @@ TEST(Attribution, FlightRecorderIsBoundedAndOrdered) {
   }
 }
 
-TEST(Attribution, RegistryRollupMatchesPerQuerySums) {
-  auto db = BuildDb(100);
-  uint64_t rollup_reads = 0;
-  uint64_t rollup_faults = 0;
+// QueryTracker is the one rollup of finished queries: per client, the
+// snapshot's totals are exactly the sums over that client's results.  Two
+// rounds through a cache on a two-spindle array make the cache outcomes and
+// the spindle split non-zero.
+TEST(Attribution, SnapshotRollupMatchesPerQuerySums) {
+  DiskGeometry geometry;
+  geometry.spindles = 2;
+  auto db = BuildDb(100, /*seed=*/42, /*faults=*/false,
+                    Clustering::kUnclustered, geometry);
+  cache::ObjectCache cache;
+  obs::Snapshot snapshot;
   RunConfig config = Config(4, 2, 4);
+  config.rounds = 2;
+  config.cache = &cache;
   config.inspect = [&](service::QueryService* service) {
-    const obs::Counter* reads =
-        service->registry().FindCounter("service.attributed.disk_reads");
-    const obs::Counter* faults =
-        service->registry().FindCounter("service.attributed.buffer_faults");
-    ASSERT_NE(reads, nullptr);
-    ASSERT_NE(faults, nullptr);
-    rollup_reads = reads->value();
-    rollup_faults = faults->value();
-    // Latency histograms: one sample per query.
-    const obs::Histogram* total =
-        service->registry().FindHistogram("service.latency.total_ns");
-    ASSERT_NE(total, nullptr);
-    EXPECT_EQ(total->count(), 4u);
-    EXPECT_LE(total->P50(), total->P99());
-    EXPECT_LE(total->P99(), total->P999());
+    snapshot = service->TakeSnapshot();
   };
   ServiceRun run = RunService(db.get(), config);
-  EXPECT_EQ(rollup_reads, run.attributed.disk_reads);
-  EXPECT_EQ(rollup_faults, run.attributed.buffer_faults);
+  EXPECT_GT(run.attributed.cache_hits, 0u);
+  EXPECT_GT(run.attributed.spindle_reads[1], 0u);
+
+  struct Sums {
+    uint64_t jobs = 0;
+    uint64_t rows = 0;
+    uint64_t objects_dropped = 0;
+    uint64_t queue_ns = 0;
+    uint64_t io_ns = 0;
+    uint64_t cpu_ns = 0;
+    uint64_t total_ns = 0;
+    obs::QueryIoSnapshot io;
+  };
+  std::map<std::string, Sums> expected;
+  for (const service::QueryResult& result : run.results) {
+    Sums& sums = expected[result.client];
+    sums.jobs++;
+    sums.rows += result.rows;
+    sums.objects_dropped += result.assembly.objects_dropped;
+    sums.queue_ns += result.queue_ns;
+    sums.io_ns += result.io_ns;
+    sums.cpu_ns += result.cpu_ns;
+    sums.total_ns += result.total_ns;
+    sums.io += result.io;
+  }
+  EXPECT_EQ(snapshot.completed, run.results.size());
+  ASSERT_EQ(snapshot.clients.size(), expected.size());
+  for (const auto& [client, totals] : snapshot.clients) {
+    ASSERT_EQ(expected.count(client), 1u) << client;
+    const Sums& sums = expected[client];
+    EXPECT_EQ(totals.jobs, sums.jobs) << client;
+    EXPECT_EQ(totals.rows, sums.rows) << client;
+    EXPECT_EQ(totals.objects_dropped, sums.objects_dropped) << client;
+    EXPECT_TRUE(totals.io == sums.io) << client;
+    const std::pair<const LogHistogram*, uint64_t> latencies[] = {
+        {&totals.queue_ns, sums.queue_ns},
+        {&totals.io_ns, sums.io_ns},
+        {&totals.cpu_ns, sums.cpu_ns},
+        {&totals.total_ns, sums.total_ns},
+    };
+    for (const auto& [histogram, sum] : latencies) {
+      EXPECT_EQ(histogram->count(), sums.jobs) << client;
+      EXPECT_EQ(histogram->total(), sum) << client;
+    }
+  }
+}
+
+// ObjectCache::Lookup charges each outcome, counter and span, to the
+// current query; nothing else charges it again.
+TEST(Attribution, CacheLookupChargesTheQueryOnce) {
+  auto db = BuildDb(40, /*seed=*/42, /*faults=*/false,
+                    Clustering::kInterObject);
+  cache::ObjectCache cache;
+  std::vector<obs::SlowQueryReport> reports;
+  RunConfig config = Config(1, 1, 4);
+  config.rounds = 2;
+  config.cache = &cache;
+  config.slow_query_ns = 1;  // every query leaves its timeline
+  config.inspect = [&](service::QueryService* service) {
+    reports = service->slow_reports();
+  };
+  ServiceRun run = RunService(db.get(), config);
+  const uint64_t roots = db->roots.size();
+  ASSERT_EQ(run.results.size(), 2u);
+  for (const service::QueryResult& result : run.results) {
+    EXPECT_EQ(result.io.cache_hits + result.io.cache_misses, roots);
+  }
+  EXPECT_EQ(run.results[0].io.cache_misses, roots);
+  EXPECT_EQ(run.results[1].io.cache_hits, roots);
+  const cache::CacheStats stats = cache.stats();
+  EXPECT_EQ(run.attributed.cache_hits, stats.hits);
+  EXPECT_EQ(run.attributed.cache_misses, stats.misses);
+
+  ASSERT_EQ(reports.size(), 2u);
+  for (const obs::SlowQueryReport& report : reports) {
+    ASSERT_EQ(report.timeline_dropped, 0u);
+    const auto spans = std::count_if(
+        report.timeline.begin(), report.timeline.end(),
+        [](const obs::SpanEvent& event) {
+          return event.kind == obs::SpanEventKind::kCacheHit ||
+                 event.kind == obs::SpanEventKind::kCacheMiss;
+        });
+    EXPECT_EQ(static_cast<uint64_t>(spans), roots)
+        << "query " << report.query_id;
+  }
 }
 
 // The service serializes disk events onto an inner sink through

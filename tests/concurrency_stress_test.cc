@@ -290,6 +290,9 @@ TEST(QueryServiceStress, DegradedModeInvariantsUnderFaultsAndConcurrency) {
     }
     jobs = futures.size();
     service.Drain();
+    // Before any future is read: a returned Drain() alone guarantees every
+    // finished query is in the snapshot's totals.
+    const obs::Snapshot snapshot = service.TakeSnapshot();
 
     size_t roots_assigned = 0;
     for (size_t j = 0; j < futures.size(); ++j) {
@@ -311,22 +314,19 @@ TEST(QueryServiceStress, DegradedModeInvariantsUnderFaultsAndConcurrency) {
     EXPECT_EQ(total_rows + total_dropped, db->roots.size());
     EXPECT_EQ(pool.pinned_frames(), 0u);
 
-    // Aggregate registry agrees with the per-job results.
-    obs::JsonValue snapshot = service.registry().ToJson();
-    const obs::JsonValue* counters = snapshot.Find("counters");
-    ASSERT_NE(counters, nullptr);
-    const obs::JsonValue* completed = counters->Find("service.jobs_completed");
-    ASSERT_NE(completed, nullptr);
-    EXPECT_EQ(completed->AsInt(), static_cast<int64_t>(jobs));
-    const obs::JsonValue* rows = counters->Find("service.rows");
-    ASSERT_NE(rows, nullptr);
-    EXPECT_EQ(rows->AsInt(), static_cast<int64_t>(total_rows));
-    const obs::JsonValue* dropped = counters->Find("service.objects_dropped");
-    if (dropped != nullptr) {
-      EXPECT_EQ(dropped->AsInt(), static_cast<int64_t>(total_dropped));
-    } else {
-      EXPECT_EQ(total_dropped, 0u);
+    // The snapshot's per-client totals agree with the per-job results.
+    EXPECT_EQ(snapshot.completed, jobs);
+    uint64_t snapshot_jobs = 0;
+    uint64_t snapshot_rows = 0;
+    uint64_t snapshot_dropped = 0;
+    for (const auto& [client, totals] : snapshot.clients) {
+      snapshot_jobs += totals.jobs;
+      snapshot_rows += totals.rows;
+      snapshot_dropped += totals.objects_dropped;
     }
+    EXPECT_EQ(snapshot_jobs, jobs);
+    EXPECT_EQ(snapshot_rows, total_rows);
+    EXPECT_EQ(snapshot_dropped, total_dropped);
     async.Drain();
   }
 }

@@ -688,23 +688,5 @@ TEST_F(ObsTest, FlightRecorderJsonShape) {
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
 }
 
-TEST_F(ObsTest, RegistryMergeAccumulates) {
-  obs::Registry a;
-  obs::Registry b;
-  a.GetCounter("x")->Inc(3);
-  b.GetCounter("x")->Inc(4);
-  b.GetCounter("only_b")->Inc(1);
-  a.GetGauge("g")->Set(10);
-  b.GetGauge("g")->Set(7);
-  a.GetHistogram("h")->Add(1);
-  b.GetHistogram("h")->Add(100);
-  a.Merge(b);
-  EXPECT_EQ(a.GetCounter("x")->value(), 7u);
-  EXPECT_EQ(a.GetCounter("only_b")->value(), 1u);
-  EXPECT_EQ(a.GetGauge("g")->max(), 10u);
-  EXPECT_EQ(a.GetHistogram("h")->count(), 2u);
-  EXPECT_EQ(a.GetHistogram("h")->max(), 100u);
-}
-
 }  // namespace
 }  // namespace cobra

@@ -44,19 +44,6 @@ using recluster::PageForwarding;
 using recluster::PageMover;
 using recluster::ReclusterDaemon;
 
-void SumInto(obs::QueryIoSnapshot* total, const obs::QueryIoSnapshot& io) {
-  total->disk_reads += io.disk_reads;
-  total->disk_writes += io.disk_writes;
-  total->read_seek_pages += io.read_seek_pages;
-  total->write_seek_pages += io.write_seek_pages;
-  total->pages_read += io.pages_read;
-  total->coalesced_runs += io.coalesced_runs;
-  total->buffer_hits += io.buffer_hits;
-  total->buffer_faults += io.buffer_faults;
-  total->retries += io.retries;
-  total->checksum_failures += io.checksum_failures;
-}
-
 std::map<Oid, std::vector<int32_t>> FieldsByOid(const AssembledObject* root) {
   std::map<Oid, std::vector<int32_t>> out;
   VisitAssembled(root, [&](const AssembledObject& node) {
@@ -183,9 +170,9 @@ TEST(ReclusterConcurrency, ClientsRaceTheMoverWithConservedAttribution) {
     async.Drain();
 
     for (const service::QueryResult& result : results) {
-      SumInto(&attributed, result.io);
+      attributed += result.io;
     }
-    SumInto(&attributed, mover.io());
+    attributed += mover.io();
     mover_io = mover.io();
     swaps_applied = mover.stats().swaps_applied;
     daemon_cycles = daemon.cycles();

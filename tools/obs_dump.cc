@@ -262,7 +262,6 @@ int main(int argc, char** argv) {
         report_array.Append(report.ToJson());
       }
       doc.Set("slow_reports", std::move(report_array));
-      doc.Set("registry", service.registry().ToJson());
       if (flags.recluster) {
         doc.Set("recluster_view", std::move(recluster_view));
       }
