@@ -16,8 +16,6 @@
 #include "exec/scan.h"
 #include "obs/export.h"
 #include "obs/json.h"
-#include "obs/registry.h"
-#include "obs/telemetry.h"
 #include "stats/histogram.h"
 #include "stats/metrics.h"
 #include "storage/disk_array.h"
@@ -314,7 +312,6 @@ struct RunResult {
   bool fault_injection = false;
   size_t refetched_pages = 0;  // faults on pages already faulted before
   SeekHistogram read_seeks;    // seek-distance distribution (read trace)
-  obs::JsonValue registry;     // telemetry registry snapshot
   // Per-spindle breakdown, one entry per spindle; fields sum to `disk`.
   std::vector<DiskStats> spindle_disk;
   // Assembled-object cache outcomes (all zero with the cache off).
@@ -324,8 +321,8 @@ struct RunResult {
   double avg_seek() const { return disk.AvgSeekPerRead(); }
   double avg_write_seek() const { return disk.AvgSeekPerWrite(); }
 
-  // Full JSON export: stats, derived metrics, seek-distance quantiles and
-  // the registry snapshot.
+  // Full JSON export: stats, derived metrics, seek-distance quantiles,
+  // per-spindle stats and cache outcomes.
   obs::JsonValue ToJson(const std::string& label) const {
     RunMetrics metrics;
     metrics.label = label;
@@ -340,7 +337,6 @@ struct RunResult {
     obs::JsonValue c = obs::ToJson(cache);
     c.Set("policy", cache_policy);
     out.Set("cache", std::move(c));
-    out.Set("registry", registry);
     return out;
   }
 };
@@ -348,10 +344,9 @@ struct RunResult {
 // Cold-restarts `db`, assembles every root with `options`, and returns the
 // measurement.  Aborts the benchmark on error (benchmarks are not supposed
 // to fail silently).  Every run records the disk read trace (for the
-// seek-distance histogram) and publishes into a fresh telemetry registry.
-// `extra_disk_listener`, when set, sees every disk event alongside the
-// publisher (bench/recluster_convergence.cc feeds its affinity sketch
-// this way).
+// seek-distance histogram).  `extra_disk_listener`, when set, sees every
+// disk event of the run (bench/recluster_convergence.cc feeds its affinity
+// sketch this way).
 inline RunResult RunAssembly(
     AcobDatabase* db, AssemblyOptions options,
     size_t batch_size = exec::RowBatch::kDefaultCapacity,
@@ -371,47 +366,22 @@ inline RunResult RunAssembly(
   // proves off-path identity; cache_zipf is the hit-rate bench.
   std::unique_ptr<cache::ObjectCache> object_cache;
   if (cache_flags != nullptr) object_cache = cache_flags->MakeCache();
-  obs::Registry registry;
-  obs::RegistryPublisher publisher(&registry);
-  obs::TelemetryHub hub;
-  hub.Add(&publisher);
-  if (extra_disk_listener != nullptr) hub.AddDiskListener(extra_disk_listener);
   db->disk->EnableReadTrace(true);
-  db->disk->set_listener(&hub);
-  db->buffer->set_listener(&publisher);
+  db->disk->set_listener(extra_disk_listener);
+  // With no cache this is the plain operator drain.
+  cache::CachedAssemblyResult assembled = cache::AssembleThroughCache(
+      object_cache.get(), &db->tmpl, db->store.get(), db->roots, options,
+      batch_size);
+  if (!assembled.status.ok()) {
+    std::fprintf(stderr, "assembly failed: %s\n",
+                 assembled.status.ToString().c_str());
+    std::exit(1);
+  }
   RunResult result;
+  result.assembly = assembled.assembly;
   if (object_cache != nullptr) {
-    cache::CachedAssemblyResult assembled = cache::AssembleThroughCache(
-        object_cache.get(), &db->tmpl, db->store.get(), db->roots, options,
-        batch_size, &publisher);
-    if (!assembled.status.ok()) {
-      std::fprintf(stderr, "assembly failed: %s\n",
-                   assembled.status.ToString().c_str());
-      std::exit(1);
-    }
-    result.assembly = assembled.assembly;
     result.cache_policy = object_cache->policy_name();
     result.cache = object_cache->stats();
-  } else {
-    AssemblyOperator op(RootScan(db->roots), &db->tmpl, db->store.get(),
-                        options);
-    op.set_observer(&publisher);
-    if (auto s = op.Open(); !s.ok()) {
-      std::fprintf(stderr, "open failed: %s\n", s.ToString().c_str());
-      std::exit(1);
-    }
-    exec::RowBatch batch(batch_size);
-    for (;;) {
-      auto n = op.NextBatch(&batch);
-      if (!n.ok()) {
-        std::fprintf(stderr, "assembly failed: %s\n",
-                     n.status().ToString().c_str());
-        std::exit(1);
-      }
-      if (*n == 0) break;
-    }
-    result.assembly = op.stats();
-    (void)op.Close();
   }
   result.disk = db->disk->stats();
   result.buffer = db->buffer->stats();
@@ -429,11 +399,7 @@ inline RunResult RunAssembly(
     result.read_seeks = SeekHistogram::FromReadTrace(db->disk->read_trace());
   }
   result.spindle_disk = SpindleStats(*db->disk);
-  result.registry = registry.ToJson();
-  // The publisher is stack-local; detach before it goes out of scope (the
-  // database outlives this run).
   db->disk->set_listener(nullptr);
-  db->buffer->set_listener(nullptr);
   db->buffer->set_write_gate(nullptr);  // the WAL dies with this run
   db->disk->EnableReadTrace(false);
   return result;

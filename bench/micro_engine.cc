@@ -24,8 +24,7 @@
 #include "obs/clock.h"
 #include "obs/json.h"
 #include "obs/profile.h"
-#include "obs/registry.h"
-#include "obs/telemetry.h"
+#include "obs/trace.h"
 #include "storage/disk.h"
 #include "workload/acob.h"
 
@@ -166,8 +165,8 @@ void BM_IteratorPipelineProfiled(benchmark::State& state) {
 }
 BENCHMARK(BM_IteratorPipelineProfiled);
 
-// Assembly with no observer attached vs. a registry publisher: the delta is
-// the cost of the per-event null check plus instrument updates.  With
+// Assembly with no observer attached vs. a trace recorder: the delta is the
+// cost of the per-event null check plus recording the event.  With
 // observer == nullptr the Notify path is a single pointer test.
 void BM_AssemblyObserverOverhead(benchmark::State& state) {
   const bool observed = state.range(0) != 0;
@@ -179,10 +178,10 @@ void BM_AssemblyObserverOverhead(benchmark::State& state) {
     state.SkipWithError("build failed");
     return;
   }
-  obs::Registry registry;
-  obs::RegistryPublisher publisher(&registry);
+  obs::TraceRecorder recorder;
   for (auto _ : state) {
     state.PauseTiming();
+    recorder.Clear();
     if (auto s = (*db)->ColdRestart(); !s.ok()) {
       state.SkipWithError("restart failed");
       return;
@@ -197,7 +196,7 @@ void BM_AssemblyObserverOverhead(benchmark::State& state) {
         (*db)->store.get(),
         AssemblyOptions{.window_size = 50,
                         .scheduler = SchedulerKind::kElevator});
-    if (observed) op.set_observer(&publisher);
+    if (observed) op.set_observer(&recorder);
     if (!op.Open().ok()) {
       state.SkipWithError("open failed");
       return;

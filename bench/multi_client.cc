@@ -190,15 +190,13 @@ MergedRun RunMerged(AcobDatabase* db, const Flags& flags,
   std::unique_ptr<cache::ObjectCache> object_cache = cache_flags.MakeCache();
   // Optional Chrome trace of this run: disk events fire on the I/O thread
   // with the originating query's context current, so every slice carries a
-  // query-id tag.
+  // query-id tag.  The recorder locks internally, so the workers and the
+  // I/O threads record into it directly.
   std::unique_ptr<obs::TraceRecorder> recorder;
-  std::unique_ptr<service::LockedTelemetry> telemetry;
   if (capture && !flags.trace_path.empty()) {
     recorder = std::make_unique<obs::TraceRecorder>();
-    telemetry = std::make_unique<service::LockedTelemetry>(recorder.get(),
-                                                           recorder.get());
-    db->disk->set_listener(telemetry.get());
-    pool.set_listener(telemetry.get());
+    db->disk->set_listener(recorder.get());
+    pool.set_listener(recorder.get());
   }
   auto start = std::chrono::steady_clock::now();
   {

@@ -100,15 +100,7 @@ void AssemblyOperator::Notify(AssemblyEvent::Kind kind, uint64_t complex_id,
                               Oid oid, PageId page,
                               const TemplateNode* node) {
   if (observer_ == nullptr) return;
-  AssemblyEvent event;
-  event.kind = kind;
-  event.complex_id = complex_id;
-  event.oid = oid;
-  event.page = page;
-  event.node = node;
-  event.window_occupancy = in_flight_.size();
-  event.pool_size = scheduler_ != nullptr ? scheduler_->Size() : 0;
-  observer_->OnEvent(event);
+  observer_->OnEvent(AssemblyEvent{kind, complex_id, oid, page, node});
 }
 
 std::vector<PageId> AssemblyOperator::TakePageList() {

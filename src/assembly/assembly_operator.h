@@ -109,11 +109,6 @@ struct AssemblyEvent {
   Oid oid = kInvalidOid;     // object involved (root OID for admit/emit)
   PageId page = kInvalidPageId;  // physical page (fetch events)
   const TemplateNode* node = nullptr;
-  // Operator state at event time, for occupancy/pool telemetry: in-flight
-  // complex objects (window occupancy) and unresolved references pooled in
-  // the scheduler.
-  size_t window_occupancy = 0;
-  size_t pool_size = 0;
 };
 
 class AssemblyObserver {

@@ -164,7 +164,6 @@ Status BufferManager::WriteBack(Shard* shard, Frame* frame) {
       break;
     }
     shard->write_retries++;
-    if (listener_ != nullptr) listener_->OnBufferRetry(frame->page_id, attempt);
     disk_->AddSeekPenaltyAt(
         phys,
         static_cast<uint64_t>(attempt) * options_.retry.backoff_seek_pages,
@@ -243,7 +242,6 @@ Status BufferManager::ReadWithRetry(Shard* shard, PageId id, std::byte* data,
       if (read.ok()) break;
       shard->checksum_failures++;
       ChargeChecksumFailure(id);
-      if (listener_ != nullptr) listener_->OnBufferChecksumFailure(id);
       break;
     }
     if (!read.IsUnavailable() || attempt >= max_attempts) {
@@ -252,7 +250,6 @@ Status BufferManager::ReadWithRetry(Shard* shard, PageId id, std::byte* data,
     }
     shard->retries++;
     ChargeRetry(id, attempt);
-    if (listener_ != nullptr) listener_->OnBufferRetry(id, attempt);
     // Deterministic linear backoff, accounted in the disk's cost unit.
     disk_->AddSeekPenaltyAt(
         phys,
@@ -278,7 +275,6 @@ Status BufferManager::ConsumePending(Shard* shard, size_t index, PageId id) {
     if (!status.ok()) {
       shard->checksum_failures++;
       ChargeChecksumFailure(id);
-      if (listener_ != nullptr) listener_->OnBufferChecksumFailure(id);
     }
   } else if (status.IsUnavailable()) {
     // The async attempt was attempt 1; fall back to the synchronous retry
@@ -289,7 +285,6 @@ Status BufferManager::ConsumePending(Shard* shard, size_t index, PageId id) {
     if (max_attempts > 1) {
       shard->retries++;
       ChargeRetry(id, 1);
-      if (listener_ != nullptr) listener_->OnBufferRetry(id, 1);
       disk_->AddSeekPenaltyAt(Phys(id), options_.retry.backoff_seek_pages,
                               /*is_read=*/true);
       status = ReadWithRetry(shard, id, frame.data.data(), /*attempt=*/2);
@@ -526,9 +521,6 @@ void BufferManager::FixRun(PageId first, size_t n, bool ascending,
       if (read.status.IsUnavailable() && attempt < max_attempts) {
         failed_shard.retries++;
         ChargeRetry(failed_page, attempt);
-        if (listener_ != nullptr) {
-          listener_->OnBufferRetry(failed_page, attempt);
-        }
         disk_->AddSeekPenaltyAt(
             Phys(failed_page),
             static_cast<uint64_t>(attempt) * options_.retry.backoff_seek_pages,
@@ -559,7 +551,6 @@ void BufferManager::FixRun(PageId first, size_t n, bool ascending,
       if (!verified.ok()) {
         shard.checksum_failures++;
         ChargeChecksumFailure(id);
-        if (listener_ != nullptr) listener_->OnBufferChecksumFailure(id);
         (*out)[mp.offset] = std::move(verified);
         shard.free_list.push_back(mp.frame);
         continue;

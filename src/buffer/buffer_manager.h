@@ -100,14 +100,6 @@ class BufferEventListener {
   virtual void OnBufferHit(PageId page) = 0;
   virtual void OnBufferFault(PageId page) = 0;
   virtual void OnBufferEviction(PageId page, bool dirty) = 0;
-  // Fired before each transient-read retry (`attempt` is the attempt that
-  // just failed, 1-based) and on checksum rejection.  Default no-ops so
-  // existing listeners need no change.
-  virtual void OnBufferRetry(PageId page, int attempt) {
-    (void)page;
-    (void)attempt;
-  }
-  virtual void OnBufferChecksumFailure(PageId page) { (void)page; }
 };
 
 // Write-ahead gate: consulted on every dirty-page write-back.  Installed by

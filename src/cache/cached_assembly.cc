@@ -23,11 +23,9 @@ std::unique_ptr<exec::VectorScan> RootScan(const std::vector<Oid>& roots) {
 void DrainAssembly(const AssemblyTemplate* tmpl, ObjectStore* store,
                    const std::vector<Oid>& roots,
                    const AssemblyOptions& options, size_t batch_size,
-                   AssemblyObserver* observer,
                    const std::function<void(const AssembledObject&)>& per_row,
                    CachedAssemblyResult* result) {
   AssemblyOperator op(RootScan(roots), tmpl, store, options);
-  if (observer != nullptr) op.set_observer(observer);
   result->status = op.Open();
   if (!result->status.ok()) return;
   exec::RowBatch batch(batch_size == 0 ? 1 : batch_size);
@@ -56,14 +54,13 @@ void DrainAssembly(const AssemblyTemplate* tmpl, ObjectStore* store,
 CachedAssemblyResult AssembleThroughCache(
     ObjectCache* cache, const AssemblyTemplate* tmpl, ObjectStore* store,
     const std::vector<Oid>& roots, const AssemblyOptions& options,
-    size_t batch_size, AssemblyObserver* observer,
-    const ObjectCallback& on_object) {
+    size_t batch_size, const ObjectCallback& on_object) {
   CachedAssemblyResult result;
   if (cache == nullptr) {
     // The historical path, bit for bit: no lookups, no copies, no extra
     // reads of the emitted batch unless a callback asks for them.
-    DrainAssembly(tmpl, store, roots, options, batch_size, observer,
-                  on_object, &result);
+    DrainAssembly(tmpl, store, roots, options, batch_size, on_object,
+                  &result);
     return result;
   }
 
@@ -90,7 +87,7 @@ CachedAssemblyResult AssembleThroughCache(
   }
 
   if (!misses.empty()) {
-    DrainAssembly(tmpl, store, misses, options, batch_size, observer,
+    DrainAssembly(tmpl, store, misses, options, batch_size,
                   [&](const AssembledObject& obj) {
                     cache->Insert(tmpl, obj, *store);
                     if (on_object) on_object(obj);

@@ -43,8 +43,7 @@ using ObjectCallback = std::function<void(const AssembledObject&)>;
 CachedAssemblyResult AssembleThroughCache(
     ObjectCache* cache, const AssemblyTemplate* tmpl, ObjectStore* store,
     const std::vector<Oid>& roots, const AssemblyOptions& options,
-    size_t batch_size, AssemblyObserver* observer,
-    const ObjectCallback& on_object = nullptr);
+    size_t batch_size, const ObjectCallback& on_object = nullptr);
 
 }  // namespace cobra::cache
 

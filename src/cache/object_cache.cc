@@ -126,10 +126,6 @@ void ObjectCache::ChargeLookupLocked(Oid root, bool hit) {
                      static_cast<uint64_t>(root), 0});
     }
   }
-  if (listener_ != nullptr) {
-    if (hit) listener_->OnCacheHit(root);
-    else listener_->OnCacheMiss(root);
-  }
 }
 
 void ObjectCache::Insert(const AssemblyTemplate* tmpl,
@@ -286,10 +282,8 @@ void ObjectCache::EvictToCapacityLocked() {
     if (key == 0) break;  // everything evictable is pinned
     auto it = entries_.find(key);
     if (it == entries_.end()) break;
-    Oid root = it->second->root_oid;
     RemoveEntryLocked(it->second.get(), /*evict=*/true);
     stats_.evictions++;
-    if (listener_ != nullptr) listener_->OnCacheEvict(root);
   }
 }
 
@@ -343,19 +337,12 @@ WriteEffect ObjectCache::ApplyCommittedWrite(
       if (entry->zombie) continue;
       if (op.patch && entry->space->patchable) {
         PatchResult patched = PatchEntryLocked(entry, op.after);
-        if (patched == PatchResult::kPatched) {
-          effect.patched++;
-          if (listener_ != nullptr) {
-            listener_->OnCachePatch(op.after.oid, op.page);
-          }
-        }
+        if (patched == PatchResult::kPatched) effect.patched++;
         // A reshaped object cannot be patched in place; invalidate.
         if (patched != PatchResult::kReshaped) continue;
       }
-      Oid root = entry->root_oid;
       RemoveEntryLocked(entry, /*evict=*/false);
       effect.invalidated++;
-      if (listener_ != nullptr) listener_->OnCacheInvalidate(root, op.page);
     }
   }
   stats_.invalidations += effect.invalidated;

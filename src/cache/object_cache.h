@@ -43,10 +43,9 @@
 // traversing a looked-up object needs no lock.
 //
 // Attribution: hits and misses are charged to the calling thread's
-// obs::QueryContext (cache_hits / cache_misses, span events) and forwarded
-// to the CacheEventListener for trace slices.  A hit charges zero disk
-// reads, keeping the conservation invariant intact trivially — the cache
-// never touches the disk or the buffer pool.
+// obs::QueryContext (cache_hits / cache_misses, span events).  A hit
+// charges zero disk reads, keeping the conservation invariant intact
+// trivially — the cache never touches the disk or the buffer pool.
 
 #ifndef COBRA_CACHE_OBJECT_CACHE_H_
 #define COBRA_CACHE_OBJECT_CACHE_H_
@@ -59,7 +58,6 @@
 #include <vector>
 
 #include "assembly/template.h"
-#include "cache/cache_events.h"
 #include "cache/cache_policy.h"
 #include "object/assembled_object.h"
 #include "object/object.h"
@@ -155,9 +153,6 @@ class ObjectCache {
   const char* policy_name() const;
   size_t capacity() const { return options_.capacity; }
 
-  // Borrowed; set before concurrent use.
-  void set_listener(CacheEventListener* listener) { listener_ = listener; }
-
   // Number of ObjectCache instances alive in the process.  The cache-off
   // regression asserts the disabled configuration never constructs one.
   static uint64_t live_instances();
@@ -232,7 +227,6 @@ class ObjectCache {
   void ChargeLookupLocked(Oid root, bool hit);
 
   const CacheOptions options_;
-  CacheEventListener* listener_ = nullptr;
 
   mutable std::mutex mu_;
   uint64_t schema_version_;

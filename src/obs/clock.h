@@ -1,9 +1,9 @@
 // Injectable clocks for the telemetry subsystem.
 //
-// Every timing consumer (ProfiledIterator, TraceRecorder, the registry
-// publisher) takes a `const Clock*` so tests can drive deterministic
-// timestamps with ManualClock while production code uses the monotonic
-// SteadyClock.  Passing nullptr means SteadyClock::Default().
+// Every timing consumer (ProfiledIterator, TraceRecorder) takes a
+// `const Clock*` so tests can drive deterministic timestamps with
+// ManualClock while production code uses the monotonic SteadyClock.
+// Passing nullptr means SteadyClock::Default().
 
 #ifndef COBRA_OBS_CLOCK_H_
 #define COBRA_OBS_CLOCK_H_

@@ -1,5 +1,7 @@
 #include "obs/export.h"
 
+#include "obs/snapshot.h"
+
 namespace cobra::obs {
 
 JsonValue ToJson(const DiskStats& stats) {

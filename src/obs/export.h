@@ -10,7 +10,6 @@
 #include "buffer/buffer_manager.h"
 #include "cache/object_cache.h"
 #include "obs/json.h"
-#include "obs/registry.h"
 #include "stats/metrics.h"
 #include "storage/disk.h"
 #include "storage/faulty_disk.h"

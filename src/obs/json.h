@@ -1,5 +1,5 @@
 // Minimal JSON document model: enough for machine-readable bench output
-// (`BENCH_*.json`), registry snapshots, and Chrome trace_event files —
+// (`BENCH_*.json`), service snapshots, and Chrome trace_event files —
 // without an external dependency.
 //
 // Objects preserve insertion order in memory, but Dump() emits members in

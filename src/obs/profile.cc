@@ -31,13 +31,15 @@ Status ProfiledIterator::Close() { return input_->Close(); }
 
 std::string FormatNanos(uint64_t nanos) {
   char buf[32];
+  // Each unit's range ends where its one-decimal rounding reaches 1000, so
+  // 999,999ns prints "1.0ms", never "1000.0us".
   if (nanos < 1000) {
     std::snprintf(buf, sizeof(buf), "%lluns",
                   static_cast<unsigned long long>(nanos));
-  } else if (nanos < 1000 * 1000) {
+  } else if (nanos < 999'950) {
     std::snprintf(buf, sizeof(buf), "%.1fus",
                   static_cast<double>(nanos) / 1e3);
-  } else if (nanos < 1000ull * 1000 * 1000) {
+  } else if (nanos < 999'950'000) {
     std::snprintf(buf, sizeof(buf), "%.1fms",
                   static_cast<double>(nanos) / 1e6);
   } else {

@@ -4,7 +4,6 @@
 #include <cstdio>
 
 #include "obs/flight_recorder.h"
-#include "obs/registry.h"
 
 namespace cobra::obs {
 namespace {
@@ -19,6 +18,29 @@ void AppendLine(std::string* out, const char* format, ...) {
 }
 
 }  // namespace
+
+JsonValue HistogramToJson(const LogHistogram& histogram) {
+  JsonValue out = JsonValue::MakeObject();
+  out.Set("count", histogram.count());
+  out.Set("total", histogram.total());
+  out.Set("mean", histogram.Mean());
+  out.Set("max", histogram.max());
+  out.Set("p50", histogram.P50());
+  out.Set("p95", histogram.P95());
+  out.Set("p99", histogram.P99());
+  out.Set("p999", histogram.P999());
+  JsonValue buckets = JsonValue::MakeArray();
+  for (size_t i = 0; i < histogram.num_buckets(); ++i) {
+    if (histogram.bucket_count(i) == 0) continue;
+    JsonValue bucket = JsonValue::MakeObject();
+    bucket.Set("lo", LogHistogram::BucketLo(i));
+    bucket.Set("hi", LogHistogram::BucketHi(i));
+    bucket.Set("count", histogram.bucket_count(i));
+    buckets.Append(std::move(bucket));
+  }
+  out.Set("buckets", std::move(buckets));
+  return out;
+}
 
 void QueryTracker::Register(const std::shared_ptr<QueryContext>& ctx) {
   std::lock_guard<std::mutex> lock(mu_);

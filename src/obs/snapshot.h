@@ -73,6 +73,11 @@ struct FinishedQuery {
   QueryIoSnapshot io;
 };
 
+// Histogram summary used by the snapshot, the bench exporter and
+// multi_client: count/total/mean/max, p50/p95/p99/p999 and the non-empty
+// buckets.
+JsonValue HistogramToJson(const LogHistogram& histogram);
+
 struct Snapshot {
   uint64_t ts_ns = 0;
   uint64_t completed = 0;

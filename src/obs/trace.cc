@@ -11,7 +11,6 @@ namespace {
 constexpr int kDiskTid = 1;
 constexpr int kBufferTid = 2;
 constexpr int kWalTid = 3;
-constexpr int kCacheTid = 4;
 constexpr int kFirstSlotTid = 10;
 
 }  // namespace
@@ -31,16 +30,18 @@ const char* TraceEventKindName(TraceEvent::Kind kind) {
     case TraceEvent::Kind::kBufferFault: return "buffer-fault";
     case TraceEvent::Kind::kBufferEviction: return "buffer-eviction";
     case TraceEvent::Kind::kWalFlush: return "wal-flush";
-    case TraceEvent::Kind::kCacheHit: return "cache-hit";
-    case TraceEvent::Kind::kCacheMiss: return "cache-miss";
-    case TraceEvent::Kind::kCacheInvalidate: return "cache-invalidate";
-    case TraceEvent::Kind::kCachePatch: return "cache-patch";
   }
   return "?";
 }
 
 TraceRecorder::TraceRecorder(const Clock* clock, size_t capacity)
     : clock_(OrDefault(clock)), ring_(capacity, /*reserve=*/4096) {}
+
+void TraceRecorder::Push(TraceEvent event) {
+  std::lock_guard<std::mutex> lock(mu_);
+  event.ts_ns = clock_->NowNanos();
+  ring_.Push(event);
+}
 
 int TraceRecorder::AcquireLane() {
   for (size_t i = 0; i < lane_in_use_.size(); ++i) {
@@ -55,6 +56,7 @@ int TraceRecorder::AcquireLane() {
 }
 
 void TraceRecorder::OnEvent(const AssemblyEvent& event) {
+  std::lock_guard<std::mutex> lock(mu_);
   uint64_t now = clock_->NowNanos();
   uint64_t worked =
       saw_assembly_event_ && now > last_assembly_ns_ ? now - last_assembly_ns_
@@ -134,105 +136,80 @@ void TraceRecorder::OnDiskReadRunAt(uint32_t spindle, PageId first_page,
                                     size_t pages, uint64_t seek_pages) {
   TraceEvent out;
   out.kind = TraceEvent::Kind::kDiskRead;
-  out.ts_ns = clock_->NowNanos();
   out.page = first_page;
   out.seek_pages = seek_pages;
   out.run_pages = pages == 0 ? 1 : pages;
   out.query_id = CurrentQueryId();
   out.spindle = spindle;
-  ring_.Push(out);
+  Push(out);
 }
 
 void TraceRecorder::OnDiskWriteAt(uint32_t spindle, PageId page,
                                   uint64_t seek_pages) {
   TraceEvent out;
   out.kind = TraceEvent::Kind::kDiskWrite;
-  out.ts_ns = clock_->NowNanos();
   out.page = page;
   out.seek_pages = seek_pages;
   out.query_id = CurrentQueryId();
   out.spindle = spindle;
-  ring_.Push(out);
+  Push(out);
 }
 
 void TraceRecorder::OnBufferHit(PageId page) {
   TraceEvent out;
   out.kind = TraceEvent::Kind::kBufferHit;
-  out.ts_ns = clock_->NowNanos();
   out.page = page;
-  ring_.Push(out);
+  Push(out);
 }
 
 void TraceRecorder::OnBufferFault(PageId page) {
   TraceEvent out;
   out.kind = TraceEvent::Kind::kBufferFault;
-  out.ts_ns = clock_->NowNanos();
   out.page = page;
-  ring_.Push(out);
+  Push(out);
 }
 
 void TraceRecorder::OnBufferEviction(PageId page, bool dirty) {
   TraceEvent out;
   out.kind = TraceEvent::Kind::kBufferEviction;
-  out.ts_ns = clock_->NowNanos();
   out.page = page;
   out.seek_pages = dirty ? 1 : 0;  // reuse the field: 1 = dirty write-back
-  ring_.Push(out);
+  Push(out);
 }
 
 void TraceRecorder::OnWalFlush(wal::Lsn durable_lsn, size_t pages,
                                size_t bytes, size_t records) {
   TraceEvent out;
   out.kind = TraceEvent::Kind::kWalFlush;
-  out.ts_ns = clock_->NowNanos();
   out.complex_id = durable_lsn;
   out.run_pages = pages == 0 ? 1 : pages;
   out.seek_pages = records;
   out.page = bytes;
-  ring_.Push(out);
+  Push(out);
 }
 
-void TraceRecorder::OnCacheHit(Oid root) {
-  TraceEvent out;
-  out.kind = TraceEvent::Kind::kCacheHit;
-  out.ts_ns = clock_->NowNanos();
-  out.oid = root;
-  out.query_id = CurrentQueryId();
-  ring_.Push(out);
+size_t TraceRecorder::size() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return ring_.size();
 }
 
-void TraceRecorder::OnCacheMiss(Oid root) {
-  TraceEvent out;
-  out.kind = TraceEvent::Kind::kCacheMiss;
-  out.ts_ns = clock_->NowNanos();
-  out.oid = root;
-  out.query_id = CurrentQueryId();
-  ring_.Push(out);
+uint64_t TraceRecorder::dropped() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return ring_.dropped();
 }
 
-void TraceRecorder::OnCacheInvalidate(Oid root, PageId page) {
-  TraceEvent out;
-  out.kind = TraceEvent::Kind::kCacheInvalidate;
-  out.ts_ns = clock_->NowNanos();
-  out.oid = root;
-  out.page = page;
-  ring_.Push(out);
-}
-
-void TraceRecorder::OnCachePatch(Oid oid, PageId page) {
-  TraceEvent out;
-  out.kind = TraceEvent::Kind::kCachePatch;
-  out.ts_ns = clock_->NowNanos();
-  out.oid = oid;
-  out.page = page;
-  ring_.Push(out);
+int TraceRecorder::num_lanes() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return num_lanes_;
 }
 
 std::vector<TraceEvent> TraceRecorder::Events() const {
+  std::lock_guard<std::mutex> lock(mu_);
   return ring_.Items();
 }
 
 void TraceRecorder::Clear() {
+  std::lock_guard<std::mutex> lock(mu_);
   ring_.Clear();
   live_.clear();
   lane_in_use_.clear();
@@ -241,6 +218,7 @@ void TraceRecorder::Clear() {
 }
 
 JsonValue TraceRecorder::ToChromeTrace() const {
+  std::lock_guard<std::mutex> lock(mu_);
   JsonValue events = JsonValue::MakeArray();
 
   auto meta = [&](int tid, const std::string& name) {
@@ -257,7 +235,6 @@ JsonValue TraceRecorder::ToChromeTrace() const {
   meta(kDiskTid, "disk");
   meta(kBufferTid, "buffer");
   meta(kWalTid, "wal");
-  meta(kCacheTid, "cache");
   for (int lane = 0; lane < num_lanes_; ++lane) {
     meta(kFirstSlotTid + lane, "window slot " + std::to_string(lane));
   }
@@ -359,22 +336,6 @@ JsonValue TraceRecorder::ToChromeTrace() const {
         args.Set("pages", event.run_pages);
         args.Set("records", event.seek_pages);
         args.Set("bytes", event.page);
-        break;
-      case TraceEvent::Kind::kCacheHit:
-      case TraceEvent::Kind::kCacheMiss:
-      case TraceEvent::Kind::kCacheInvalidate:
-      case TraceEvent::Kind::kCachePatch:
-        e.Set("name", TraceEventKindName(event.kind));
-        e.Set("ph", "i");
-        e.Set("s", "t");
-        e.Set("tid", kCacheTid);
-        e.Set("ts", micros(event.ts_ns));
-        args.Set("oid", event.oid);
-        if (event.page != kInvalidPageId) args.Set("page", event.page);
-        if (event.kind == TraceEvent::Kind::kCacheHit ||
-            event.kind == TraceEvent::Kind::kCacheMiss) {
-          args.Set("query", event.query_id);
-        }
         break;
     }
     e.Set("args", std::move(args));

@@ -1,10 +1,12 @@
 // TraceRecorder: bounded event recorder + Chrome trace_event exporter.
 //
-// The recorder plugs into all three engine hooks — AssemblyObserver,
-// DiskEventListener, BufferEventListener — stamps every event with an
-// injectable clock, and keeps the last `capacity` events in a ring buffer
-// (overflow drops the *oldest* events and counts them, so a long run always
-// retains its tail).
+// The recorder plugs into the engine hooks — AssemblyObserver,
+// DiskEventListener, BufferEventListener, WalEventListener — stamps every
+// event with an injectable clock, and keeps the last `capacity` events in a
+// ring buffer (overflow drops the *oldest* events and counts them, so a long
+// run always retains its tail).  It is the one event sink and is attached
+// directly to the components it listens to, from any number of threads: one
+// leaf mutex guards the ring and the lane state.
 //
 // Export renders Chrome's trace_event JSON (the `{"traceEvents": [...]}`
 // object form), loadable in about:tracing or https://ui.perfetto.dev:
@@ -15,23 +17,24 @@
 //     spans showing where the slot's time went;
 //   * a "disk" lane of read/write instants (args: page, seek distance,
 //     query, spindle);
-//   * a "buffer" lane of hit/fault/eviction instants.
+//   * a "buffer" lane of hit/fault/eviction instants;
+//   * a "wal" lane of group-commit flush slices.
 //
-// Durations: execution is single-threaded, so the work attributed to an
-// assembly event is the wall time since the *previous* assembly event; a
-// fetch span therefore covers its disk I/O and swizzling.
+// Durations: an assembly operator runs on one thread, so the work attributed
+// to an assembly event is the wall time since the *previous* assembly event;
+// a fetch span therefore covers its disk I/O and swizzling.
 
 #ifndef COBRA_OBS_TRACE_H_
 #define COBRA_OBS_TRACE_H_
 
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "assembly/assembly_operator.h"
 #include "buffer/buffer_manager.h"
-#include "cache/cache_events.h"
 #include "obs/bounded_ring.h"
 #include "obs/clock.h"
 #include "obs/json.h"
@@ -58,12 +61,6 @@ struct TraceEvent {
     // durable LSN, run_pages the log pages written, seek_pages the record
     // count, page the byte count.
     kWalFlush,
-    // Assembled-object cache outcomes.  `oid` is the root (or, for a patch,
-    // the patched component); invalidate/patch carry the written page.
-    kCacheHit,
-    kCacheMiss,
-    kCacheInvalidate,
-    kCachePatch,
   };
 
   Kind kind;
@@ -89,8 +86,7 @@ const char* TraceEventKindName(TraceEvent::Kind kind);
 class TraceRecorder : public AssemblyObserver,
                       public DiskEventListener,
                       public BufferEventListener,
-                      public wal::WalEventListener,
-                      public cache::CacheEventListener {
+                      public wal::WalEventListener {
  public:
   explicit TraceRecorder(const Clock* clock = nullptr,
                          size_t capacity = 65536);
@@ -117,19 +113,13 @@ class TraceRecorder : public AssemblyObserver,
   // (one microsecond per log page, like disk-read-run).
   void OnWalFlush(wal::Lsn durable_lsn, size_t pages, size_t bytes,
                   size_t records) override;
-  // cache::CacheEventListener.  Hit/miss slices carry the current query id
-  // (like disk events) so traces tag which query the outcome belongs to.
-  void OnCacheHit(Oid root) override;
-  void OnCacheMiss(Oid root) override;
-  void OnCacheInvalidate(Oid root, PageId page) override;
-  void OnCachePatch(Oid oid, PageId page) override;
 
   size_t capacity() const { return ring_.capacity(); }
-  size_t size() const { return ring_.size(); }
+  size_t size() const;
   // Events that fell off the front of the ring.
-  uint64_t dropped() const { return ring_.dropped(); }
+  uint64_t dropped() const;
   // Highest window-slot lane ever used + 1.
-  int num_lanes() const { return num_lanes_; }
+  int num_lanes() const;
 
   // Retained events, oldest first.
   std::vector<TraceEvent> Events() const;
@@ -149,10 +139,17 @@ class TraceRecorder : public AssemblyObserver,
     uint64_t admit_ns = 0;
   };
 
-  // Lowest free lane; lanes are recycled so W slots yield W lanes.
+  // Stamps one disk, buffer or wal event and appends it under mu_, so the
+  // ring stays in time order across threads.
+  void Push(TraceEvent event);
+  // Lowest free lane; lanes are recycled so W slots yield W lanes.  Caller
+  // holds mu_.
   int AcquireLane();
 
   const Clock* clock_;
+  // Leaf lock over everything below: taken where an event is pushed (and by
+  // the readers), never while calling out.
+  mutable std::mutex mu_;
   BoundedRing<TraceEvent> ring_;
 
   std::unordered_map<uint64_t, LiveComplex> live_;

@@ -291,7 +291,7 @@ QueryResult QueryService::Execute(QueryJob& job, uint64_t* batches) {
   // fresh values are mutually consistent).
   cache::CachedAssemblyResult assembled = cache::AssembleThroughCache(
       options_.cache, job.tmpl, &store, job.roots, job.assembly,
-      job.batch_size, /*observer=*/nullptr, job.on_object);
+      job.batch_size, job.on_object);
   result.status = assembled.status;
   result.rows = assembled.rows;
   result.assembly = assembled.assembly;

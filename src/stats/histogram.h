@@ -4,8 +4,8 @@
 // (elevator scheduling converts a few huge seeks plus many medium ones into
 // a mass of near-zero seeks and a handful of sweep turnarounds).  Buckets
 // are powers of two, so a histogram is 65 counters regardless of the value
-// range — cheap enough to live on hot paths (the obs::Registry instruments
-// are LogHistograms).
+// range — cheap enough to live on hot paths (the per-client latency totals
+// of obs::QueryTracker are LogHistograms).
 //
 // LogHistogram is the generic distribution; SeekHistogram layers the
 // seek-specific conveniences (building from a read trace, the text report)

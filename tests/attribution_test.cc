@@ -51,6 +51,8 @@ struct RunConfig {
   // previous one has finished.
   size_t rounds = 1;
   cache::ObjectCache* cache = nullptr;  // borrowed; null runs uncached
+  // Attached straight to the disk and the pool for the run; borrowed.
+  obs::TraceRecorder* recorder = nullptr;
   // Callback run while the service is alive and quiesced.
   std::function<void(service::QueryService*)> inspect;
 };
@@ -67,6 +69,10 @@ ServiceRun RunService(AcobDatabase* db, const RunConfig& config) {
     BufferManager pool(&async, BufferOptions{.num_frames = 4096,
                                              .retry = db->options.retry,
                                              .num_shards = config.shards});
+    if (config.recorder != nullptr) {
+      db->disk->set_listener(config.recorder);
+      pool.set_listener(config.recorder);
+    }
     service::ServiceOptions sopts;
     sopts.num_workers = config.workers;
     sopts.async_disk = &async;
@@ -101,6 +107,8 @@ ServiceRun RunService(AcobDatabase* db, const RunConfig& config) {
     // (teardown write-backs happen later, outside the window).
     run.disk = db->disk->stats();
     run.buffer = pool.stats();
+    db->disk->set_listener(nullptr);
+    pool.set_listener(nullptr);
     if (config.inspect) config.inspect(&service);
   }
   return run;
@@ -463,10 +471,41 @@ TEST(Attribution, CacheLookupChargesTheQueryOnce) {
   }
 }
 
-// The service serializes disk events onto an inner sink through
-// LockedTelemetry; the inner sink must still see the serving spindle and a
-// coalesced run's page count.
-TEST(LockedTelemetry, ForwardsSpindleAndRunPages) {
+// The recorder is the one sink the workers and the per-spindle I/O threads
+// share: attached straight to the disk and the pool, it keeps every event
+// of four concurrent clients, tagged with its query and spindle.
+TEST(TraceRecorder, CountsEveryEventUnderConcurrentClients) {
+  DiskGeometry geometry;
+  geometry.spindles = 2;
+  auto db = BuildDb(200, /*seed=*/42, /*faults=*/false,
+                    Clustering::kUnclustered, geometry);
+  obs::TraceRecorder recorder(/*clock=*/nullptr, /*capacity=*/1 << 20);
+  RunConfig config = Config(4, 4, 8);
+  config.recorder = &recorder;
+  ServiceRun run = RunService(db.get(), config);
+  for (const service::QueryResult& result : run.results) {
+    ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+  }
+
+  using Kind = obs::TraceEvent::Kind;
+  EXPECT_EQ(recorder.dropped(), 0u);
+  std::map<Kind, uint64_t> counts;
+  for (const obs::TraceEvent& event : recorder.Events()) {
+    counts[event.kind]++;
+    if (event.kind == Kind::kDiskRead || event.kind == Kind::kDiskWrite) {
+      EXPECT_NE(event.query_id, 0u) << "page " << event.page;
+      EXPECT_LT(event.spindle, 2u) << "page " << event.page;
+    }
+  }
+  EXPECT_GT(counts[Kind::kDiskRead], 0u);
+  EXPECT_EQ(counts[Kind::kDiskRead], run.disk.reads);
+  EXPECT_EQ(counts[Kind::kBufferHit], run.buffer.hits);
+  EXPECT_EQ(counts[Kind::kBufferFault], run.buffer.faults);
+}
+
+// Attached straight to the disk, the recorder sees the serving spindle and
+// a coalesced run's page count.
+TEST(TraceRecorder, RecordsSpindleAndRunPages) {
   DiskGeometry geometry;
   geometry.spindles = 2;
   geometry.stripe_width = 4;
@@ -478,8 +517,7 @@ TEST(LockedTelemetry, ForwardsSpindleAndRunPages) {
   ASSERT_EQ(disk.SpindleOf(5), 1u);
   ASSERT_EQ(disk.SpindleOf(8), 0u);
   obs::TraceRecorder recorder;
-  service::LockedTelemetry telemetry(&recorder, &recorder);
-  disk.set_listener(&telemetry);
+  disk.set_listener(&recorder);
   ASSERT_TRUE(disk.ReadPage(5, page.data()).ok());
   std::vector<std::vector<std::byte>> bufs(
       3, std::vector<std::byte>(disk.page_size()));

@@ -116,7 +116,7 @@ uint64_t RunCachedWorkload(FaultInjectingDisk* disk, uint64_t crash_after,
       AssemblyOptions aopts;
       (void)cache::AssembleThroughCache(&cache, &pair.tmpl, &store,
                                         std::move(roots), aopts,
-                                        /*batch_size=*/8, nullptr);
+                                        /*batch_size=*/8);
     };
     auto locate_page = [&](Oid oid) -> PageId {
       auto loc = store.Locate(oid);
@@ -233,7 +233,7 @@ void VerifyColdConsistentCache(FaultInjectingDisk* disk, const Ack& ack,
     std::map<Oid, std::vector<int32_t>> delivered;
     auto result = cache::AssembleThroughCache(
         &cache, &pair.tmpl, &store, live_roots, AssemblyOptions{},
-        /*batch_size=*/8, nullptr, [&](const AssembledObject& got) {
+        /*batch_size=*/8, [&](const AssembledObject& got) {
           VisitAssembled(&got, [&](const AssembledObject& node) {
             delivered[node.oid].assign(node.fields.begin(),
                                        node.fields.end());

@@ -178,7 +178,7 @@ TEST_P(CacheFuzzTest, RandomGraphsSurviveInvalidationChurn) {
     aopts.window_size = 4;
     auto result = cache::AssembleThroughCache(
         &cache, &tmpl, &store, batch, aopts, /*batch_size=*/8,
-        /*observer=*/nullptr, [&](const AssembledObject& got) {
+        [&](const AssembledObject& got) {
           VisitAssembled(&got, [&](const AssembledObject& node) {
             auto it = image.find(node.oid);
             ASSERT_NE(it, image.end());

@@ -73,8 +73,7 @@ class CacheTest : public ::testing::Test {
       if (sums_out != nullptr) (*sums_out)[obj.oid] = SumField(&obj, 0);
     };
     CachedAssemblyResult result = cache::AssembleThroughCache(
-        cache, tmpl, &store_, roots, options, /*batch_size=*/16,
-        /*observer=*/nullptr, on_object);
+        cache, tmpl, &store_, roots, options, /*batch_size=*/16, on_object);
     EXPECT_TRUE(result.status.ok()) << result.status.ToString();
     return result;
   }

@@ -211,6 +211,12 @@ TEST(DiskReadRunTest, AscendingRunChargesOneSeekPlusSequentialTransfers) {
   EXPECT_EQ(disk.stats().coalesced_runs, 1u);
   EXPECT_EQ(disk.head(), 13u);
   for (auto& b : bufs) EXPECT_EQ(b, page);
+
+  // A single-page read after the run is one more transfer of one page.
+  ASSERT_TRUE(disk.ReadPage(12, outs[0]).ok());
+  EXPECT_EQ(disk.stats().reads, 2u);
+  EXPECT_EQ(disk.stats().pages_read, 5u);
+  EXPECT_EQ(disk.stats().coalesced_runs, 1u);
 }
 
 TEST(DiskReadRunTest, DescendingRunEntersAtHighEnd) {

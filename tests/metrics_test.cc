@@ -102,6 +102,15 @@ TEST(JsonRoundTripTest, CompactAndPrettyAgree) {
   ASSERT_TRUE(compact.ok());
   ASSERT_TRUE(pretty.ok());
   EXPECT_EQ(compact->Dump(), pretty->Dump());
+
+  // Members serialize in sorted key order: the opposite insertion order
+  // gives the same bytes.
+  JsonValue reversed = JsonValue::MakeObject();
+  JsonValue inner2 = JsonValue::MakeObject();
+  inner2.Set("b", -3);
+  reversed.Set("inner", std::move(inner2));
+  reversed.Set("a", 1);
+  EXPECT_EQ(reversed.Dump(2), doc.Dump(2));
 }
 
 TEST(JsonRoundTripTest, ParserRejectsGarbage) {

@@ -1,5 +1,5 @@
 // Telemetry subsystem: trace-recorder invariants, Chrome trace export,
-// registry publishing, and EXPLAIN ANALYZE profiling.
+// and EXPLAIN ANALYZE profiling.
 
 #include <cstdio>
 #include <fstream>
@@ -24,8 +24,7 @@
 #include "obs/json.h"
 #include "obs/profile.h"
 #include "obs/query_context.h"
-#include "obs/registry.h"
-#include "obs/telemetry.h"
+#include "obs/snapshot.h"
 #include "obs/trace.h"
 #include "storage/disk.h"
 
@@ -36,16 +35,21 @@ using exec::Row;
 using exec::Value;
 using exec::VectorScan;
 
-// Advances a manual clock on every assembly event so downstream sinks see
-// strictly increasing timestamps (execution itself is instantaneous in
-// tests).
+// Advances a manual clock on every assembly event, then forwards the event
+// to `next`, so the recorder sees strictly increasing timestamps (execution
+// itself is instantaneous in tests).
 class ClockTicker : public AssemblyObserver {
  public:
-  explicit ClockTicker(obs::ManualClock* clock) : clock_(clock) {}
-  void OnEvent(const AssemblyEvent&) override { clock_->Advance(1000); }
+  ClockTicker(obs::ManualClock* clock, AssemblyObserver* next)
+      : clock_(clock), next_(next) {}
+  void OnEvent(const AssemblyEvent& event) override {
+    clock_->Advance(1000);
+    next_->OnEvent(event);
+  }
 
  private:
   obs::ManualClock* clock_;
+  AssemblyObserver* next_;
 };
 
 class ObsTest : public ::testing::Test {
@@ -99,17 +103,14 @@ TEST_F(ObsTest, TraceEventOrderingPerComplexObject) {
   std::vector<Oid> roots = BuildChains(&tmpl, 3);
 
   obs::ManualClock clock(1);
-  ClockTicker ticker(&clock);
   obs::TraceRecorder recorder(&clock);
-  obs::TelemetryHub hub;
-  hub.AddAssemblyObserver(&ticker);  // tick first, then record
-  hub.AddAssemblyObserver(&recorder);
+  ClockTicker ticker(&clock, &recorder);  // tick first, then record
 
   std::vector<Row> rows;
   for (Oid oid : roots) rows.push_back(Row{Value::Ref(oid)});
   AssemblyOperator op(std::make_unique<VectorScan>(rows), &tmpl, &store_,
                       AssemblyOptions{.window_size = 2});
-  op.set_observer(&hub);
+  op.set_observer(&ticker);
   Drain(&op);
 
   // Per complex id: admit strictly precedes every fetch, which strictly
@@ -150,16 +151,13 @@ TEST_F(ObsTest, TraceLanesBoundedByWindow) {
   AssemblyTemplate tmpl;
   std::vector<Oid> roots = BuildChains(&tmpl, 6);
   obs::ManualClock clock(1);
-  ClockTicker ticker(&clock);
   obs::TraceRecorder recorder(&clock);
-  obs::TelemetryHub hub;
-  hub.AddAssemblyObserver(&ticker);
-  hub.AddAssemblyObserver(&recorder);
+  ClockTicker ticker(&clock, &recorder);
   std::vector<Row> rows;
   for (Oid oid : roots) rows.push_back(Row{Value::Ref(oid)});
   AssemblyOperator op(std::make_unique<VectorScan>(rows), &tmpl, &store_,
                       AssemblyOptions{.window_size = 2});
-  op.set_observer(&hub);
+  op.set_observer(&ticker);
   Drain(&op);
   // 6 complex objects flowed through, but only W=2 were ever live at once:
   // lanes are recycled.
@@ -197,18 +195,15 @@ TEST_F(ObsTest, ChromeTraceExportIsValid) {
   AssemblyTemplate tmpl;
   std::vector<Oid> roots = BuildChains(&tmpl, 3);
   obs::ManualClock clock(1);
-  ClockTicker ticker(&clock);
   obs::TraceRecorder recorder(&clock);
-  obs::TelemetryHub hub;
-  hub.AddAssemblyObserver(&ticker);
-  hub.AddAssemblyObserver(&recorder);
+  ClockTicker ticker(&clock, &recorder);
   disk_.set_listener(&recorder);
   buffer_.set_listener(&recorder);
   std::vector<Row> rows;
   for (Oid oid : roots) rows.push_back(Row{Value::Ref(oid)});
   AssemblyOperator op(std::make_unique<VectorScan>(rows), &tmpl, &store_,
                       AssemblyOptions{.window_size = 2});
-  op.set_observer(&hub);
+  op.set_observer(&ticker);
   Drain(&op);
   disk_.set_listener(nullptr);
   buffer_.set_listener(nullptr);
@@ -274,134 +269,6 @@ TEST_F(ObsTest, ChromeTraceExportIsValid) {
   EXPECT_NE(std::find(thread_names.begin(), thread_names.end(),
                       "window slot 0"),
             thread_names.end());
-}
-
-TEST_F(ObsTest, RegistryPublisherMatchesOperatorStats) {
-  AssemblyTemplate tmpl;
-  std::vector<Oid> roots = BuildChains(&tmpl, 4);
-  obs::Registry registry;
-  obs::RegistryPublisher publisher(&registry);
-  disk_.set_listener(&publisher);
-  buffer_.set_listener(&publisher);
-  std::vector<Row> rows;
-  for (Oid oid : roots) rows.push_back(Row{Value::Ref(oid)});
-  AssemblyOperator op(std::make_unique<VectorScan>(rows), &tmpl, &store_,
-                      AssemblyOptions{.window_size = 2});
-  op.set_observer(&publisher);
-  uint64_t reads_before = disk_.stats().reads;
-  Drain(&op);
-  disk_.set_listener(nullptr);
-  buffer_.set_listener(nullptr);
-
-  const AssemblyStats& stats = op.stats();
-  EXPECT_EQ(registry.GetCounter("assembly.admitted")->value(),
-            stats.complex_admitted);
-  EXPECT_EQ(registry.GetCounter("assembly.emitted")->value(),
-            stats.complex_emitted);
-  EXPECT_EQ(registry.GetCounter("assembly.aborted")->value(),
-            stats.complex_aborted);
-  EXPECT_EQ(registry.GetCounter("assembly.fetches")->value(),
-            stats.objects_fetched);
-  EXPECT_EQ(registry.GetCounter("disk.reads")->value(),
-            disk_.stats().reads - reads_before);
-  EXPECT_EQ(registry.GetHistogram("disk.seek_distance")->count(),
-            disk_.stats().reads - reads_before);
-  // Window-occupancy gauge high-water mark is bounded by W.
-  EXPECT_LE(registry.GetGauge("assembly.window_occupancy")->max(), 2u);
-
-  // The snapshot carries the same numbers.
-  obs::JsonValue snapshot = registry.ToJson();
-  const obs::JsonValue* counters = snapshot.Find("counters");
-  ASSERT_NE(counters, nullptr);
-  EXPECT_EQ(counters->Find("assembly.emitted")->AsInt(),
-            static_cast<int64_t>(stats.complex_emitted));
-}
-
-// A vectored read stream that opens with single-page reads:
-// io.pages_per_read covers every transfer, not only those after the first
-// coalesced run.
-TEST(RegistryPublisherTest, PagesPerReadCoversEveryRead) {
-  SimulatedDisk disk;
-  std::vector<std::byte> page(disk.page_size(), std::byte{1});
-  for (PageId id = 0; id < 16; ++id) {
-    ASSERT_TRUE(disk.WritePage(id, page.data()).ok());
-  }
-  disk.ResetStats();
-  obs::Registry registry;
-  obs::RegistryPublisher publisher(&registry);
-  disk.set_listener(&publisher);
-  std::vector<std::vector<std::byte>> bufs(
-      4, std::vector<std::byte>(disk.page_size()));
-  std::vector<std::byte*> outs;
-  for (auto& buf : bufs) outs.push_back(buf.data());
-  ASSERT_TRUE(disk.ReadPage(3, outs[0]).ok());
-  ASSERT_TRUE(disk.ReadPage(9, outs[0]).ok());
-  ASSERT_TRUE(disk.ReadRun(10, 4, /*ascending=*/true, outs.data()).status.ok());
-  ASSERT_TRUE(disk.ReadPage(2, outs[0]).ok());
-  disk.set_listener(nullptr);
-
-  const DiskStats& stats = disk.stats();
-  ASSERT_EQ(stats.reads, 4u);
-  ASSERT_EQ(stats.pages_read, 7u);
-  const obs::Histogram* pages = registry.FindHistogram("io.pages_per_read");
-  ASSERT_NE(pages, nullptr);
-  EXPECT_EQ(pages->count(), stats.reads);
-  EXPECT_EQ(pages->total(), stats.pages_read);
-  EXPECT_EQ(registry.FindCounter("disk.reads")->value(), stats.reads);
-  EXPECT_EQ(registry.FindCounter("io.coalesced_runs")->value(),
-            stats.coalesced_runs);
-}
-
-// On a two-spindle disk the disk.s<k>.* counters sum to the global ones
-// from the first event on, whichever spindle serves it.
-TEST(RegistryPublisherTest, SpindleCountersSumToGlobals) {
-  DiskGeometry geometry;
-  geometry.spindles = 2;
-  SimulatedDisk disk(DiskOptions{.geometry = geometry});
-  std::vector<std::byte> page(disk.page_size(), std::byte{2});
-  for (PageId id = 0; id < 8; ++id) {
-    ASSERT_TRUE(disk.WritePage(id, page.data()).ok());
-  }
-  ASSERT_EQ(disk.SpindleOf(4), 0u);
-  ASSERT_EQ(disk.SpindleOf(5), 1u);
-  obs::Registry registry;
-  obs::RegistryPublisher publisher(&registry);
-  disk.set_listener(&publisher);
-  auto spindle_sum = [&](const std::string& field) {
-    uint64_t sum = 0;
-    for (int k = 0; k < 2; ++k) {
-      const obs::Counter* counter =
-          registry.FindCounter("disk.s" + std::to_string(k) + "." + field);
-      if (counter != nullptr) sum += counter->value();
-    }
-    return sum;
-  };
-  auto expect_conserved = [&] {
-    EXPECT_EQ(spindle_sum("reads"),
-              registry.FindCounter("disk.reads")->value());
-    EXPECT_EQ(spindle_sum("writes"),
-              registry.FindCounter("disk.writes")->value());
-    EXPECT_EQ(spindle_sum("read_seek_pages"),
-              registry.FindHistogram("disk.seek_distance")->total());
-    EXPECT_EQ(spindle_sum("write_seek_pages"),
-              registry.FindHistogram("disk.write_seek_distance")->total());
-  };
-
-  ASSERT_TRUE(disk.ReadPage(4, page.data()).ok());
-  ASSERT_TRUE(disk.WritePage(6, page.data()).ok());
-  {
-    SCOPED_TRACE("after events on spindle 0");
-    EXPECT_EQ(registry.FindCounter("disk.reads")->value(), 1u);
-    expect_conserved();
-  }
-  ASSERT_TRUE(disk.ReadPage(5, page.data()).ok());
-  ASSERT_TRUE(disk.WritePage(7, page.data()).ok());
-  disk.set_listener(nullptr);
-  {
-    SCOPED_TRACE("after events on spindle 1");
-    EXPECT_EQ(registry.FindCounter("disk.s1.reads")->value(), 1u);
-    expect_conserved();
-  }
 }
 
 TEST_F(ObsTest, ExplainAnalyzeRowCountsMatchDrainAll) {
@@ -487,15 +354,23 @@ TEST_F(ObsTest, ProfiledIteratorCountsWithManualClock) {
   EXPECT_NE(profiled.Summary().find("rows=5"), std::string::npos);
 }
 
+// A value whose one-decimal rounding would print 1000 in its unit moves up
+// to the next unit.
+TEST(FormatNanosTest, SwitchesUnitBeforeRoundingReaches1000) {
+  EXPECT_EQ(obs::FormatNanos(999), "999ns");
+  EXPECT_EQ(obs::FormatNanos(1000), "1.0us");
+  EXPECT_EQ(obs::FormatNanos(999'949), "999.9us");
+  EXPECT_EQ(obs::FormatNanos(999'999), "1.0ms");
+  EXPECT_EQ(obs::FormatNanos(999'949'999), "999.9ms");
+  EXPECT_EQ(obs::FormatNanos(999'999'999), "1.00s");
+}
+
 TEST_F(ObsTest, DiskTraceEventsCarryQueryId) {
   AssemblyTemplate tmpl;
   std::vector<Oid> roots = BuildChains(&tmpl, 3);
   obs::ManualClock clock(1);
-  ClockTicker ticker(&clock);
   obs::TraceRecorder recorder(&clock);
-  obs::TelemetryHub hub;
-  hub.AddAssemblyObserver(&ticker);
-  hub.AddAssemblyObserver(&recorder);
+  ClockTicker ticker(&clock, &recorder);
 
   // Cold pool over the same disk so the assembly actually reads pages;
   // flush *before* attaching the disk listener so the write-back noise is
@@ -512,7 +387,7 @@ TEST_F(ObsTest, DiskTraceEventsCarryQueryId) {
     for (Oid oid : roots) rows.push_back(Row{Value::Ref(oid)});
     AssemblyOperator op(std::make_unique<VectorScan>(rows), &tmpl,
                         &cold_store, AssemblyOptions{.window_size = 2});
-    op.set_observer(&hub);
+    op.set_observer(&ticker);
     Drain(&op);
   }
   disk_.set_listener(nullptr);
@@ -563,18 +438,15 @@ TEST_F(ObsTest, ChromeTraceInstantsMonotonePerThread) {
   AssemblyTemplate tmpl;
   std::vector<Oid> roots = BuildChains(&tmpl, 4);
   obs::ManualClock clock(1);
-  ClockTicker ticker(&clock);
   obs::TraceRecorder recorder(&clock);
-  obs::TelemetryHub hub;
-  hub.AddAssemblyObserver(&ticker);
-  hub.AddAssemblyObserver(&recorder);
+  ClockTicker ticker(&clock, &recorder);
   disk_.set_listener(&recorder);
   buffer_.set_listener(&recorder);
   std::vector<Row> rows;
   for (Oid oid : roots) rows.push_back(Row{Value::Ref(oid)});
   AssemblyOperator op(std::make_unique<VectorScan>(rows), &tmpl, &store_,
                       AssemblyOptions{.window_size = 2});
-  op.set_observer(&hub);
+  op.set_observer(&ticker);
   Drain(&op);
   disk_.set_listener(nullptr);
   buffer_.set_listener(nullptr);
@@ -614,30 +486,6 @@ TEST_F(ObsTest, ChromeTraceInstantsMonotonePerThread) {
   }
   EXPECT_GT(checked, 0u);
   EXPECT_GE(last_ts.size(), 2u);  // at least a window lane and the disk lane
-}
-
-TEST_F(ObsTest, RegistryJsonIsDeterministicAndSorted) {
-  // Same instruments, opposite insertion order: identical serialized bytes.
-  obs::Registry a;
-  a.GetCounter("zeta")->Inc(1);
-  a.GetCounter("alpha")->Inc(2);
-  a.GetHistogram("lat")->Add(100);
-  a.GetGauge("g")->Set(5);
-  obs::Registry b;
-  b.GetGauge("g")->Set(5);
-  b.GetHistogram("lat")->Add(100);
-  b.GetCounter("alpha")->Inc(2);
-  b.GetCounter("zeta")->Inc(1);
-  EXPECT_EQ(a.ToJson().Dump(2), b.ToJson().Dump(2));
-
-  // Counter names come out sorted.
-  obs::JsonValue snapshot = a.ToJson();
-  const obs::JsonValue* counters = snapshot.Find("counters");
-  ASSERT_NE(counters, nullptr);
-  const auto& members = counters->AsObject();
-  ASSERT_EQ(members.size(), 2u);
-  EXPECT_EQ(members[0].first, "alpha");
-  EXPECT_EQ(members[1].first, "zeta");
 }
 
 TEST_F(ObsTest, HistogramJsonIncludesTailQuantiles) {

@@ -304,7 +304,7 @@ TEST(Mover, SwapsRelocateWithoutChangingContentAndInvalidateTheCache) {
   cache::ObjectCache cache;
   auto warmed = cache::AssembleThroughCache(&cache, &db->tmpl,
                                             db->store.get(), db->roots,
-                                            AssemblyOptions{}, 8, nullptr);
+                                            AssemblyOptions{}, 8);
   ASSERT_TRUE(warmed.status.ok());
   ASSERT_GT(cache.resident_entries(), 0u);
 

@@ -7,12 +7,13 @@
 // same buffer pool, WAL write gate, and shared directory.  Readers hold the
 // service's store lock shared, writers exclusive; commit durability waits
 // happen outside the lock so committers share group-commit flushes.  The
-// WAL flush telemetry flows through LockedTelemetry into a registry off the
+// WAL's flush events go straight into a trace recorder from the
 // group-commit daemon thread, which is exactly the cross-thread path TSan
 // needs to see.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <future>
@@ -25,8 +26,7 @@
 #include "file/heap_file.h"
 #include "object/object.h"
 #include "object/object_store.h"
-#include "obs/registry.h"
-#include "obs/telemetry.h"
+#include "obs/trace.h"
 #include "service/query_service.h"
 #include "storage/disk.h"
 #include "wal/wal.h"
@@ -74,15 +74,12 @@ TEST(WalConcurrency, WritersRaceQueriesUnderOneServiceStack) {
   std::vector<WriterModel> models(kWriters);
   std::atomic<uint64_t> write_failures{0};
 
-  obs::Registry registry;
-  obs::RegistryPublisher publisher(&registry);
-  // The wal daemon publishes flushes concurrently with everything else:
-  // serialize it onto the registry through the service's locked fan-in.
-  service::LockedTelemetry telemetry(nullptr, nullptr, &publisher);
+  // The wal daemon records flushes concurrently with everything else.
+  obs::TraceRecorder recorder;
 
   {
     wal::WalManager wal(db->disk.get(), wal_options);
-    wal.set_listener(&telemetry);
+    wal.set_listener(&recorder);
     ASSERT_TRUE(wal.Recover().ok());
     BufferManager pool(db->disk.get(),
                        BufferOptions{.num_frames = 4096, .num_shards = 8});
@@ -205,10 +202,14 @@ TEST(WalConcurrency, WritersRaceQueriesUnderOneServiceStack) {
     EXPECT_EQ(stats.aborts, aborted);
     EXPECT_GT(stats.batches_flushed, 0u);
 
-    // The daemon's flush events landed in the registry via the locked path.
-    const obs::Counter* flushes = registry.FindCounter("wal.flushes");
-    ASSERT_NE(flushes, nullptr);
-    EXPECT_EQ(flushes->value(), stats.batches_flushed);
+    // Every batch the daemon flushed left one wal-flush slice.
+    const std::vector<obs::TraceEvent> events = recorder.Events();
+    EXPECT_EQ(std::count_if(events.begin(), events.end(),
+                            [](const obs::TraceEvent& event) {
+                              return event.kind ==
+                                     obs::TraceEvent::Kind::kWalFlush;
+                            }),
+              static_cast<std::ptrdiff_t>(stats.batches_flushed));
 
     // Quiesced, the log can be truncated and written through again.
     ASSERT_TRUE(wal.Checkpoint(&pool).ok());

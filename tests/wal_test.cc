@@ -19,8 +19,7 @@
 #include "object/directory.h"
 #include "object/object.h"
 #include "object/object_store.h"
-#include "obs/registry.h"
-#include "obs/telemetry.h"
+#include "obs/trace.h"
 #include "service/query_service.h"
 #include "storage/checksum.h"
 #include "storage/disk.h"
@@ -723,33 +722,38 @@ TEST(ObjectStoreTxn, CommitMakesVisibleAbortRollsBack) {
 
 // -------------------------------------------------------------- telemetry
 
-TEST(WalObs, FlushEventsPublishIntoRegistry) {
-  obs::Registry registry;
-  obs::RegistryPublisher publisher(&registry);
+// Each group-commit batch leaves one wal-flush slice carrying its pages,
+// bytes and records, so the slices sum to the WAL's own counters.
+TEST(WalObs, FlushSlicesSumToWalStats) {
+  obs::TraceRecorder recorder;
   SimulatedDisk disk;
   WalManager wal(&disk, LogOptions());
-  wal.set_listener(&publisher);
+  wal.set_listener(&recorder);
   ASSERT_TRUE(wal.Recover().ok());
-
-  // No flush yet: the wal.* instruments exist and read zero.
-  const obs::Counter* before = registry.FindCounter("wal.flushes");
-  ASSERT_NE(before, nullptr);
-  EXPECT_EQ(before->value(), 0u);
 
   auto txn = wal.Begin();
   ASSERT_TRUE(txn.ok());
   ASSERT_TRUE(wal.LogHeapInsert(*txn, 0, 0, PatternRecord(40, 1)).ok());
   ASSERT_TRUE(wal.Commit(*txn).ok());
+  wal.set_listener(nullptr);
 
-  const obs::Counter* flushes = registry.FindCounter("wal.flushes");
-  ASSERT_NE(flushes, nullptr);
-  EXPECT_GE(flushes->value(), 1u);
-  const obs::Counter* records = registry.FindCounter("wal.records");
-  ASSERT_NE(records, nullptr);
-  EXPECT_EQ(records->value(), 3u);  // begin + insert + commit
-  const obs::Counter* pages = registry.FindCounter("wal.pages");
-  ASSERT_NE(pages, nullptr);
-  EXPECT_GE(pages->value(), 1u);
+  uint64_t slices = 0;
+  uint64_t pages = 0;
+  uint64_t bytes = 0;
+  uint64_t records = 0;
+  for (const obs::TraceEvent& event : recorder.Events()) {
+    if (event.kind != obs::TraceEvent::Kind::kWalFlush) continue;
+    slices++;
+    pages += event.run_pages;
+    bytes += event.page;
+    records += event.seek_pages;
+  }
+  const wal::WalStats stats = wal.stats();
+  EXPECT_GE(slices, 1u);
+  EXPECT_EQ(slices, stats.batches_flushed);
+  EXPECT_EQ(pages, stats.log_pages_written);
+  EXPECT_EQ(bytes, stats.bytes_flushed);
+  EXPECT_EQ(records, 3u);  // begin + insert + commit
 }
 
 // ------------------------------------------------------- service writes

@@ -13,9 +13,9 @@ through one projection, which keeps of each run:
   * the seek-distance histogram's non-empty buckets (lo, count) and max.
 
 It drops the rest: floats derived from those integers (avg_seek,
-hit_rate, histogram quantiles, ...), the telemetry registry and
-registry_size, timings and bench settings.  A golden is the projection of
-a capture, one run per line, so a moved count reads as a one-line diff.
+hit_rate, histogram quantiles, ...), timings and bench settings.  A golden
+is the projection of a capture, one run per line, so a moved count reads
+as a one-line diff.
 Projecting a golden returns it unchanged, so every mode accepts a golden
 or a capture wherever it reads one.
 
